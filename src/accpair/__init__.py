@@ -19,7 +19,6 @@ from .engine import ANALYSIS, DEPLOYMENT, PairingEngine, PairingOutcome, classif
 from .slots import (
     PacketArrival,
     SlotStore,
-    StoreFullError,
     TraceOrderError,
     VirtualSlot,
     candidate_accs,
@@ -58,7 +57,6 @@ __all__ = [
     "SimReport",
     "SlotStore",
     "StepCounts",
-    "StoreFullError",
     "Timebin",
     "TimebinLayout",
     "TraceOrderError",

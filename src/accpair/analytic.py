@@ -13,16 +13,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from .timing import (
     ProtocolParams,
     acc_sub,
     check_acc,
     hamming,
-    jitter_index,
+    hamming_ball,
     lead_time,
-    slot_width,
+    slot_bounds,
 )
 
 
@@ -32,9 +32,8 @@ class SaturationError(RuntimeError):
 
 @dataclass(frozen=True)
 class Timebin:
-    """Same-step virtual slots sharing one jitter index, hence one window."""
+    """Step-1 virtual slots sharing one reception window."""
 
-    jitter: int
     members: Tuple[int, ...]  # expected ACCs of the member slots
     width: float              # window duration in seconds
     d: int                    # distinct ACCs that would falsely pair here
@@ -44,9 +43,10 @@ class Timebin:
 class TimebinLayout:
     """Partition of the step-1 windows preceding the genuine arrival.
 
-    ``bins_a`` are the full windows strictly before the genuine arrival in
-    time order; ``bin_b`` is the window the genuine arrival lands in, of
-    which only the lead time ``theta1`` precedes the arrival.
+    ``bins_a`` are the candidate windows that start before the genuine
+    arrival's own window, in order of start time; each is exposed in full.
+    ``bin_b`` is the genuine arrival's own window, of which only the lead
+    time ``theta1`` precedes the arrival.
     """
 
     base_acc: int
@@ -84,8 +84,7 @@ def allowed_combinations(xi: int, y: int, M: int, j: int = 1, L: int = 256) -> S
     b = hamming(check_acc(y, L), acc_sub(xi, j, L))
     if b > M:
         raise ValueError(f"slot {xi:#04x} is not a candidate for y={y:#04x} at M={M}")
-    radius = M - b
-    return {u for u in range(L) if hamming(xi, u) <= radius}
+    return {xi ^ m for m in hamming_ball(M - b, L)}
 
 
 def bin_combination_count(members: Iterable[int], y: int, M: int, j: int = 1, L: int = 256) -> int:
@@ -99,36 +98,32 @@ def bin_combination_count(members: Iterable[int], y: int, M: int, j: int = 1, L:
 def build_timebins(y: int, M: int, params: ProtocolParams) -> TimebinLayout:
     """Time partition of the step-1 windows relevant for false detection.
 
-    Candidate slots whose hypothesized base ACC has a jitter index larger
-    than the observed one fall after the genuine arrival and are excluded;
-    under the monotone default offset map the remaining bins are returned
-    in time order (increasing jitter index).
+    The candidate slots of observed ACC ``y`` (base ACCs ``c`` within ``M``
+    bit errors of ``y``, ``M`` in 0..log2(L)) are grouped by their step-1
+    window ``slot_bounds(c, 1, 0.0, params)``.  Windows that start after
+    the genuine arrival's own window are excluded, the rest are ordered by
+    start time.  The windows of different groups are assumed disjoint.
     """
     check_acc(y, params.L)
-    if not 0 <= M <= 8:
-        raise ValueError(f"threshold M must be in 0..8, got {M}")
-    pi_y = jitter_index(y, params)
-    groups: Dict[int, list] = {}
-    for c in range(params.L):
-        if hamming(y, c) <= M:
-            groups.setdefault(jitter_index(c, params), []).append((c + 1) % params.L)
+    windows: Dict[Tuple[float, float], List[int]] = {}
+    for m in hamming_ball(M, params.L):
+        c = y ^ m
+        windows.setdefault(slot_bounds(c, 1, 0.0, params), []).append((c + 1) % params.L)
 
-    def make_bin(s: int) -> Timebin:
-        members = tuple(sorted(groups[s]))
-        base = acc_sub(members[0], 1, params.L)
+    def make_bin(window: Tuple[float, float]) -> Timebin:
+        members = tuple(sorted(windows[window]))
         return Timebin(
-            jitter=s,
             members=members,
-            width=slot_width(base, 1, params),
+            width=window[1],
             d=bin_combination_count(members, y, M, 1, params.L),
         )
 
-    bins_a = tuple(make_bin(s) for s in sorted(groups) if s < pi_y)
+    own = slot_bounds(y, 1, 0.0, params)
     return TimebinLayout(
         base_acc=y,
         M=M,
-        bins_a=bins_a,
-        bin_b=make_bin(pi_y),
+        bins_a=tuple(make_bin(w) for w in sorted(windows) if w[0] < own[0]),
+        bin_b=make_bin(own),
         theta1=lead_time(y, 1, params),
     )
 

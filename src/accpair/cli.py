@@ -32,10 +32,11 @@ class UsageError(ValueError):
 
 
 def _default_seed() -> int:
+    text = os.environ.get(SEED_ENV_VAR, "0")
     try:
-        return int(os.environ.get(SEED_ENV_VAR, "0"))
+        return int(text)
     except ValueError:
-        return 0
+        raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {text!r}") from None
 
 
 def _parse_n_range(text: str) -> List[int]:
@@ -104,7 +105,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         p=args.p,
         trials=args.trials,
         horizon=args.horizon,
-        rng_seed=args.seed,
+        rng_seed=_default_seed() if args.seed is None else args.seed,
     )
     if args.kind == "fd":
         report = simulate_false_detection(cfg)
@@ -188,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--horizon", type=float, default=600.0, help="seconds (memory runs)")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)
 
@@ -216,7 +217,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (TraceFormatError, ConfigError, FileNotFoundError) as exc:
+    except (TraceFormatError, ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValueError as exc:

@@ -10,11 +10,12 @@ engine instances are fully independent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from .slots import PacketArrival, SlotStore, TraceOrderError, VirtualSlot
-from .timing import ProtocolParams, hamming
+from .timing import ProtocolParams, check_acc, check_threshold, hamming
 
 #: Slot-creation policies.  ANALYSIS creates slots only for erroneous
 #: packets; DEPLOYMENT creates slots for every arrival.
@@ -61,13 +62,15 @@ class PairingEngine:
 
     Args:
         params: protocol timing constants.
-        M: maximum tolerated total Hamming distance for a pairing.
+        M: maximum tolerated total Hamming distance for a pairing, in
+            0..log2(params.L).
         policy: ``ANALYSIS`` or ``DEPLOYMENT`` slot-creation policy.
         expire_on_arrival: drop (instead of advance) slots whose window
             contained an arrival that did not pair.
         timeout: maximum step count a slot may reach.
-        create_after_pair: also create slots for arrivals that just paired.
-        capacity: optional bound on simultaneously live slots.
+
+    Arrivals are numbered in processing order; ``PairingOutcome`` carries
+    those numbers and the caller's packets are never modified.
     """
 
     def __init__(
@@ -77,41 +80,32 @@ class PairingEngine:
         policy: str = ANALYSIS,
         expire_on_arrival: bool = True,
         timeout: int = 10,
-        create_after_pair: bool = True,
-        capacity: Optional[int] = None,
     ) -> None:
         if policy not in (ANALYSIS, DEPLOYMENT):
             raise ValueError(f"unknown slot-creation policy {policy!r}")
-        if not 0 <= M <= 8:
-            raise ValueError(f"threshold M must be in 0..8, got {M}")
         self.params = params if params is not None else ProtocolParams()
-        self.M = M
+        self.M = check_threshold(M, self.params.L)
         self.policy = policy
-        self.create_after_pair = create_after_pair
-        self.store = SlotStore(
-            self.params,
-            timeout=timeout,
-            expire_on_arrival=expire_on_arrival,
-            capacity=capacity,
-            on_base_empty=self._forget_base,
-        )
-        self._bases: Dict[int, PacketArrival] = {}
+        self.store = SlotStore(self.params, timeout=timeout, expire_on_arrival=expire_on_arrival)
         self._last_time: Optional[float] = None
         self._next_ref = 0
 
-    def _forget_base(self, base_ref: int) -> None:
-        self._bases.pop(base_ref, None)
-
     def on_arrival(self, pkt: PacketArrival) -> PairingOutcome:
-        """Process one arrival and decide pair / no-pair."""
+        """Process one arrival and decide pair / no-pair.
+
+        An arrival with an ACC outside 0..L-1, a non-finite time or a time
+        before the previous arrival raises before any engine state changes.
+        """
+        check_acc(pkt.acc, self.params.L)
+        if not math.isfinite(pkt.time):
+            raise TraceOrderError(f"arrival time {pkt.time} is not finite")
         if self._last_time is not None and pkt.time < self._last_time:
             raise TraceOrderError(
                 f"arrival at {pkt.time} precedes previous arrival at {self._last_time}"
             )
         self._last_time = pkt.time
-        if pkt.ref is None:
-            pkt.ref = self._next_ref
-        self._next_ref = max(self._next_ref, pkt.ref) + 1
+        ref = self._next_ref
+        self._next_ref += 1
 
         self.store.advance_expired(pkt.time)
 
@@ -128,11 +122,10 @@ class PairingEngine:
                 best, best_key = slot, key
 
         if best is not None:
-            base_pkt = self._bases[best.base_ref]
-            cls, is_false = classify(base_pkt, pkt)
+            cls, is_false = classify(best.base, pkt)
             outcome = PairingOutcome(
                 kind="pair",
-                arrival_ref=pkt.ref,
+                arrival_ref=ref,
                 base_ref=best.base_ref,
                 step=best.step,
                 distance=best_key[0],
@@ -141,12 +134,10 @@ class PairingEngine:
             )
             self.store.remove_base(best.base_ref)
         else:
-            outcome = PairingOutcome(kind="no-pair", arrival_ref=pkt.ref)
+            outcome = PairingOutcome(kind="no-pair", arrival_ref=ref)
 
-        wants_slots = self.policy == DEPLOYMENT or pkt.erroneous
-        if wants_slots and (best is None or self.create_after_pair):
-            if self.store.create_slots(pkt, self.M):
-                self._bases[pkt.ref] = pkt
+        if self.policy == DEPLOYMENT or pkt.erroneous:
+            self.store.create_slots(pkt, self.M, ref)
 
         return outcome
 

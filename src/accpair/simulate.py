@@ -14,7 +14,7 @@ import numpy as np
 
 from .engine import ANALYSIS, DEPLOYMENT, PairingEngine
 from .slots import PacketArrival
-from .timing import ProtocolParams, jitter_index, nominal_interval
+from .timing import ProtocolParams, check_threshold, jitter_index, nominal_interval
 
 #: Bit count of the modeled non-ACC packet remainder; a CRC failure can be
 #: caused by any of these bits even when the ACC itself survives.
@@ -27,13 +27,12 @@ class SimConfig:
 
     params: ProtocolParams = field(default_factory=ProtocolParams)
     n: int = 200                  # meters in range of the receiver
-    M: int = 0                    # pairing threshold, total tolerated bit errors
+    M: int = 0                    # pairing threshold, total tolerated bit errors, 0..log2(L)
     epsilon: float = 0.0          # per-bit error probability on received ACCs
     p: float = 0.0                # packet erasure probability
     trials: int = 1000
     horizon: float = 600.0        # seconds of trace to generate / replay
     timeout: int = 10             # maximum virtual-slot step count
-    repeats_per_payload: int = 6  # transmissions carrying identical payload
     slot_policy: str = ANALYSIS
     expire_on_arrival: bool = True
     emission_jitter: float = 0.0  # half-range of per-packet send-time jitter
@@ -49,8 +48,7 @@ class SimConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.n < 0:
             raise ValueError(f"meter count must be nonnegative, got {self.n}")
-        if not 0 <= self.M <= 8:
-            raise ValueError(f"threshold M must be in 0..8, got {self.M}")
+        check_threshold(self.M, self.params.L)
         if self.timeout < 1:
             raise ValueError(f"timeout must be >= 1, got {self.timeout}")
         if self.emission_jitter < 0:

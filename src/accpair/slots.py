@@ -11,14 +11,10 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right, insort
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple
 
-from .timing import ProtocolParams, acc_sub, check_acc, hamming, slot_bounds
-
-
-class StoreFullError(RuntimeError):
-    """Raised when a capacity-bounded store cannot accept more slots."""
+from .timing import ProtocolParams, acc_sub, check_acc, hamming, hamming_ball, slot_bounds
 
 
 class TraceOrderError(ValueError):
@@ -30,7 +26,8 @@ class PacketArrival:
     """One reception event.
 
     ``meter_id``/``true_acc`` are ground truth carried only for post-hoc
-    validation; they never influence pairing decisions.
+    validation; they never influence pairing decisions.  The ACC range
+    depends on the protocol's ``L``, so the engine checks it on arrival.
     """
 
     time: float
@@ -38,12 +35,8 @@ class PacketArrival:
     erroneous: bool
     meter_id: Optional[str] = None
     true_acc: Optional[int] = None
-    ref: Optional[int] = None  # assigned by the engine when processed
 
     def __post_init__(self) -> None:
-        check_acc(self.acc)
-        if self.true_acc is not None:
-            check_acc(self.true_acc)
         if (self.meter_id is None) != (self.true_acc is None) and self.true_acc is not None:
             # a bare true_acc without a meter id is meaningless ground truth
             raise ValueError("ground-truth fields must be absent or both present")
@@ -59,8 +52,7 @@ class VirtualSlot:
     b: int          # bit errors in the base ACC implied by choosing this slot
     xi: int         # ACC expected for a packet arriving in the slot
     step: int       # transmissions since the base packet
-    base_time: float
-    base_acc: int   # observed ACC of the base packet
+    base: PacketArrival  # the base packet: its time anchors every step's window
     seq: int = 0    # creation order, used for deterministic tie-breaks
     saw_arrival: bool = False
     version: int = 0
@@ -74,14 +66,13 @@ def candidate_accs(y: int, j: int, M: int, L: int = 256) -> Set[int]:
     """Expected ACCs ``xi`` after ``j`` steps compatible with observation ``y``.
 
     A candidate admits at most ``M`` bit errors in ``y``:
-    ``H(y, xi - j) <= M``.  The result has ``sum_{b<=M} C(8, b)`` members.
+    ``H(y, xi - j) <= M``, with ``M`` in 0..log2(L).  The result has
+    ``sum_{b<=M} C(log2 L, b)`` members.
     """
-    if not 0 <= M <= 8:
-        raise ValueError(f"threshold M must be in 0..8, got {M}")
     if j < 1:
         raise ValueError(f"step count must be >= 1, got {j}")
     check_acc(y, L)
-    return {(c + j) % L for c in range(L) if hamming(y, c) <= M}
+    return {((y ^ m) + j) % L for m in hamming_ball(M, L)}
 
 
 class SlotStore:
@@ -92,14 +83,10 @@ class SlotStore:
         params: ProtocolParams,
         timeout: int = 10,
         expire_on_arrival: bool = True,
-        capacity: Optional[int] = None,
-        on_base_empty: Optional[Callable[[int], None]] = None,
     ) -> None:
         self.params = params
         self.timeout = timeout
         self.expire_on_arrival = expire_on_arrival
-        self.capacity = capacity
-        self.on_base_empty = on_base_empty
         self._slots: Dict[int, VirtualSlot] = {}
         self._by_start: List[Tuple[float, int]] = []
         self._heap: List[Tuple[float, int, int]] = []  # (end, seq, version)
@@ -114,35 +101,26 @@ class SlotStore:
         """Snapshot of live slots in creation order."""
         return [self._slots[k] for k in sorted(self._slots)]
 
-    def has_base(self, base_ref: int) -> bool:
-        return base_ref in self._by_base
-
     # -- mutation ---------------------------------------------------------
 
-    def create_slots(self, pkt: PacketArrival, M: int) -> int:
+    def create_slots(self, pkt: PacketArrival, M: int, ref: int) -> int:
         """Register step-1 slots for every candidate ACC of ``pkt``.
 
-        Returns the number of slots created.  ``pkt.ref`` must be set.
+        ``ref`` identifies the base packet in the slots' ``base_ref``.
+        Returns the number of slots created.
         """
-        if pkt.ref is None:
-            raise ValueError("packet must carry a ref before slot creation")
         cands = sorted(candidate_accs(pkt.acc, 1, M, self.params.L))
-        if self.capacity is not None and len(self._slots) + len(cands) > self.capacity:
-            raise StoreFullError(
-                f"store capacity {self.capacity} exceeded creating {len(cands)} slots"
-            )
         for xi in cands:
             base = acc_sub(xi, 1, self.params.L)
             start, width = slot_bounds(base, 1, pkt.time, self.params)
             slot = VirtualSlot(
                 start=start,
                 width=width,
-                base_ref=pkt.ref,
+                base_ref=ref,
                 b=hamming(pkt.acc, base),
                 xi=xi,
                 step=1,
-                base_time=pkt.time,
-                base_acc=pkt.acc,
+                base=pkt,
                 seq=self._next_seq,
             )
             self._next_seq += 1
@@ -182,7 +160,7 @@ class SlotStore:
             slot.xi = (slot.xi + 1) % self.params.L
             slot.step += 1
             base = acc_sub(slot.xi, slot.step, self.params.L)
-            slot.start, slot.width = slot_bounds(base, slot.step, slot.base_time, self.params)
+            slot.start, slot.width = slot_bounds(base, slot.step, slot.base.time, self.params)
             slot.saw_arrival = False
             slot.version += 1
             self._index(slot)
@@ -237,5 +215,3 @@ class SlotStore:
         peers.discard(slot.seq)
         if not peers:
             del self._by_base[slot.base_ref]
-            if self.on_base_empty is not None:
-                self.on_base_empty(slot.base_ref)

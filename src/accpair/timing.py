@@ -11,7 +11,8 @@ of plain ints and floats and is safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from functools import lru_cache
+from typing import Callable, Optional, Tuple, Union
 
 DeltaMap = Union[Callable[[int], float], Tuple[float, ...]]
 
@@ -105,8 +106,27 @@ def jitter_index(x: int, params: ProtocolParams) -> int:
 
 
 def hamming(a: int, b: int) -> int:
-    """Number of differing bits between two byte values."""
+    """Number of differing bits between two ACC values."""
     return (a ^ b).bit_count()
+
+
+def check_threshold(M: int, L: int = 256) -> int:
+    """Validate a bit-error threshold: ``M`` in 0..log2(L).  Returns ``M``."""
+    bits = L.bit_length() - 1
+    if not 0 <= M <= bits:
+        raise ValueError(f"threshold M must be in 0..{bits}, got {M}")
+    return M
+
+
+@lru_cache(maxsize=None)
+def hamming_ball(M: int, L: int = 256) -> Tuple[int, ...]:
+    """XOR masks of Hamming weight <= ``M`` over the log2(L) ACC bits.
+
+    ``{y ^ m for m in hamming_ball(M, L)}`` is every ACC within ``M`` bit
+    errors of ``y``; the ball has ``sum_{b<=M} C(log2 L, b)`` members.
+    """
+    check_threshold(M, L)
+    return tuple(m for m in range(L) if m.bit_count() <= M)
 
 
 def nominal_interval(x: int, j: int, params: ProtocolParams) -> float:
@@ -124,15 +144,22 @@ def nominal_interval(x: int, j: int, params: ProtocolParams) -> float:
     return total
 
 
+def _window(x: int, j: int, params: ProtocolParams) -> Tuple[float, float, float]:
+    """``(tnom, theta, tau)`` of the step-``j`` slot from base ACC ``x``."""
+    tnom = nominal_interval(x, j, params)
+    theta = tnom * params.nu_a + params.gamma_a
+    tau = tnom * (params.nu_a + params.nu_b) + params.gamma_a + params.gamma_b
+    return tnom, theta, tau
+
+
 def lead_time(x: int, j: int, params: ProtocolParams) -> float:
     """Lead of the slot start before the nominal arrival (theta)."""
-    return nominal_interval(x, j, params) * params.nu_a + params.gamma_a
+    return _window(x, j, params)[1]
 
 
 def slot_width(x: int, j: int, params: ProtocolParams) -> float:
     """Width of the reception slot for step ``j`` from base ACC ``x`` (tau)."""
-    tnom = nominal_interval(x, j, params)
-    return tnom * (params.nu_a + params.nu_b) + params.gamma_a + params.gamma_b
+    return _window(x, j, params)[2]
 
 
 def slot_bounds(x: int, j: int, t_base: float, params: ProtocolParams) -> Tuple[float, float]:
@@ -145,7 +172,5 @@ def slot_bounds(x: int, j: int, t_base: float, params: ProtocolParams) -> Tuple[
     """
     if j < 1:
         raise ValueError(f"slot step must be >= 1, got {j}")
-    tnom = nominal_interval(x, j, params)
-    theta = tnom * params.nu_a + params.gamma_a
-    tau = tnom * (params.nu_a + params.nu_b) + params.gamma_a + params.gamma_b
+    tnom, theta, tau = _window(x, j, params)
     return t_base + tnom - theta, tau

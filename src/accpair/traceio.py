@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import fields as dataclass_fields
 from typing import IO, Iterable, List, Optional, Tuple
 
@@ -87,6 +88,8 @@ def read_trace(inp: IO[str]) -> List[PacketArrival]:
             time = float(time_s)
         except ValueError:
             raise TraceFormatError(line, f"bad time {time_s!r}") from None
+        if not math.isfinite(time):
+            raise TraceFormatError(line, f"time {time_s!r} is not finite")
         if prev_time is not None and time < prev_time:
             raise TraceFormatError(line, f"time {time_s} precedes previous row ({prev_time:.9f})")
         prev_time = time

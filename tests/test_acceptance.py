@@ -182,7 +182,7 @@ def test_criterion_9_per_step_trend():
     for run in range(runs):
         cfg = SimConfig(
             n=53, M=0, epsilon=1 / 32, horizon=1800.0, timeout=10,
-            repeats_per_payload=6, rng_seed=100 + run, slot_policy=DEPLOYMENT,
+            rng_seed=100 + run, slot_policy=DEPLOYMENT,
         )
         rep = replay(generate_trace(cfg), cfg)
         for sc in rep.per_step:

@@ -12,7 +12,15 @@ from accpair.analytic import (
     q0,
     qM,
 )
-from accpair.timing import ProtocolParams, hamming, lead_time, slot_width
+from accpair.simulate import SimConfig, _false_detection_trial, _trial_rng
+from accpair.timing import (
+    ProtocolParams,
+    hamming,
+    lead_time,
+    nominal_interval,
+    slot_bounds,
+    slot_width,
+)
 
 PARAMS = ProtocolParams()
 
@@ -138,6 +146,61 @@ class TestBruteForceOracle:
             )
             assert b.d == would_pair
             assert b.width == pytest.approx(slot_width((b.members[0] - 1) % 256, 1, PARAMS))
+
+
+#: Zero-mean offsets decreasing in the jitter index: a larger index now
+#: means an earlier step-1 window.
+REVERSED = ProtocolParams(delta_map=tuple(-16.0 * (s - 64) / 2048.0 for s in range(129)))
+
+
+def swept_sigma(y, m, params):
+    """sigma_beta by a sweep over the real step-1 windows up to the genuine arrival.
+
+    Every elementary segment between window edges counts the union of the
+    ACCs that would pair with any slot active in it.
+    """
+    L = params.L
+    slots = []
+    for c in range(L):
+        b = hamming(y, c)
+        if b <= m:
+            xi = (c + 1) % L
+            start, width = slot_bounds(c, 1, 0.0, params)
+            allowed = frozenset(u for u in range(L) if b + hamming(xi, u) <= m)
+            slots.append((start, start + width, allowed))
+    cutoff = nominal_interval(y, 1, params)
+    edges = sorted({e for s, t, _ in slots for e in (s, t) if e < cutoff} | {cutoff})
+    sigma = {}
+    for a, b in zip(edges, edges[1:]):
+        union = set()
+        for s, t, allowed in slots:
+            if s <= a and b <= t:
+                union |= allowed
+        if union:
+            sigma[len(union)] = sigma.get(len(union), 0.0) + (b - a)
+    return sigma
+
+
+class TestReversedDeltaMap:
+    def test_sigma_matches_window_sweep(self):
+        for y in range(256):
+            for m in (0, 1, 2):
+                sigma = build_timebins(y, m, REVERSED).sigma()
+                oracle = swept_sigma(y, m, REVERSED)
+                assert set(sigma) == set(oracle), (y, m)
+                for beta, duration in oracle.items():
+                    assert abs(sigma[beta] - duration) < 1e-12, (y, m, beta)
+
+    @pytest.mark.parametrize("y", [0x40, 0x20])
+    def test_per_acc_monte_carlo_agrees(self, y):
+        trials, n = 20_000, 2000
+        cfg = SimConfig(params=REVERSED, n=n, M=1)
+        hits = sum(
+            _false_detection_trial(cfg, y, _trial_rng(7000 + y, i)) for i in range(trials)
+        )
+        expected = qM(y, 1, n, REVERSED)
+        se = math.sqrt(expected * (1 - expected) / trials)
+        assert abs(hits / trials - expected) <= 3 * se, (hits / trials, expected)
 
 
 class TestMaxDistinguishableMeters:

@@ -59,6 +59,18 @@ class TestSimulate:
         code, _ = run(tmp_path, "simulate", "--kind", "fd", "--trials", "0")
         assert code == EXIT_USAGE
 
+    def test_seed_from_environment(self, tmp_path, monkeypatch):
+        argv = ["simulate", "--kind", "fd", "--M", "0", "--trials", "200"]
+        _, explicit = run(tmp_path, *argv, "--seed", "5")
+        monkeypatch.setenv("ACCPAIR_SEED", "5")
+        _, from_env = run(tmp_path, *argv)
+        assert from_env == explicit
+
+    def test_non_integer_seed_environment_is_usage_error(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("ACCPAIR_SEED", "abc")
+        code, _ = run(tmp_path, "simulate", "--kind", "fd", "--trials", "10")
+        assert code == EXIT_USAGE
+
 
 class TestReplay:
     def test_chain_trace(self, tmp_path):
@@ -99,6 +111,22 @@ class TestReplay:
         code, _ = run(tmp_path, "replay", str(tmp_path / "nope.csv"))
         assert code == EXIT_PARSE
 
+    def test_directory_is_parse_error(self, tmp_path):
+        code, _ = run(tmp_path, "replay", str(tmp_path))
+        assert code == EXIT_PARSE
+
+    def test_undecodable_file_is_parse_error(self, tmp_path):
+        trace = tmp_path / "t.csv"
+        trace.write_bytes(HEADER.encode() + b"\xff\xfe\n")
+        code, _ = run(tmp_path, "replay", str(trace))
+        assert code == EXIT_PARSE
+
+    def test_nan_time_is_parse_error(self, tmp_path):
+        trace = tmp_path / "t.csv"
+        trace.write_text(HEADER + "1.0,40,1,,\nnan,41,1,,\n0.5,42,1,,\n")
+        code, _ = run(tmp_path, "replay", str(trace))
+        assert code == EXIT_PARSE
+
 
 class TestGentrace:
     def write_config(self, tmp_path, **doc):
@@ -121,6 +149,10 @@ class TestGentrace:
     def test_unknown_key_rejected(self, tmp_path):
         cfg = self.write_config(tmp_path, n=1, horizon=40.0, wat=1)
         code, _ = run(tmp_path, "gentrace", "--config", str(cfg))
+        assert code == EXIT_PARSE
+
+    def test_config_directory_is_parse_error(self, tmp_path):
+        code, _ = run(tmp_path, "gentrace", "--config", str(tmp_path))
         assert code == EXIT_PARSE
 
     def test_roundtrip_with_replay(self, tmp_path):

@@ -1,16 +1,19 @@
+import copy
+import math
+
 import pytest
 
 from accpair.engine import ANALYSIS, DEPLOYMENT, PairingEngine, classify, pair_distance
+from accpair.simulate import SimConfig, generate_trace, replay
 from accpair.slots import PacketArrival, TraceOrderError, VirtualSlot
-from accpair.timing import ProtocolParams
+from accpair.timing import ProtocolParams, nominal_interval
 
 PARAMS = ProtocolParams()
 
 
 def slot(xi, b):
-    return VirtualSlot(
-        start=0.0, width=1.0, base_ref=0, b=b, xi=xi, step=1, base_time=0.0, base_acc=0x40
-    )
+    base = PacketArrival(time=0.0, acc=0x40, erroneous=True)
+    return VirtualSlot(start=0.0, width=1.0, base_ref=0, b=b, xi=xi, step=1, base=base)
 
 
 def pkt(time, acc, erroneous=False, meter=None, true_acc=None):
@@ -67,7 +70,7 @@ class TestOnArrival:
         assert out.kind == "no-pair"
 
     def test_pair_removes_all_slots_of_base(self):
-        engine = PairingEngine(PARAMS, M=1, create_after_pair=False)
+        engine = PairingEngine(PARAMS, M=1)
         engine.on_arrival(pkt(0.0, 0x40, erroneous=True))
         assert engine.live_slots == 9
         out = engine.on_arrival(pkt(16.0, 0x41))
@@ -95,6 +98,15 @@ class TestOnArrival:
         engine.on_arrival(pkt(10.0, 0x40, erroneous=True))
         with pytest.raises(TraceOrderError):
             engine.on_arrival(pkt(9.0, 0x41))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, bad):
+        engine = PairingEngine(PARAMS)
+        engine.on_arrival(pkt(1.0, 0x40, erroneous=True))
+        with pytest.raises(TraceOrderError, match="not finite"):
+            engine.on_arrival(pkt(bad, 0x41))
+        with pytest.raises(TraceOrderError, match="precedes"):
+            engine.on_arrival(pkt(0.5, 0x41))
 
     def test_minimum_distance_wins(self):
         # two bases predict the same arrival; the exact-ACC one must win
@@ -157,3 +169,36 @@ class TestOnArrival:
                 assert out.distance == 0
                 assert out.is_false is False
             seen.add(arrival.meter_id)
+
+
+class TestAccDomain:
+    SMALL = ProtocolParams(L=16)
+
+    def test_threshold_limited_to_acc_bits(self):
+        PairingEngine(self.SMALL, M=4)
+        with pytest.raises(ValueError, match="0..4"):
+            PairingEngine(self.SMALL, M=5)
+
+    def test_out_of_range_acc_leaves_engine_untouched(self):
+        engine = PairingEngine(self.SMALL, M=0)
+        engine.on_arrival(pkt(0.0, 0x4, erroneous=True))
+        assert engine.live_slots == 1
+        # a valid arrival this late would advance the slot and move the
+        # previous-time check past the genuine next packet
+        with pytest.raises(ValueError, match="outside 0..15"):
+            engine.on_arrival(pkt(100.0, 200, erroneous=True))
+        assert engine.live_slots == 1
+        out = engine.on_arrival(pkt(nominal_interval(0x4, 1, self.SMALL), 0x5))
+        assert out.kind == "pair"
+        assert out.base_ref == 0
+
+
+def test_replay_leaves_the_callers_packets_unchanged():
+    cfg = SimConfig(n=5, M=1, epsilon=1 / 32, horizon=200.0, rng_seed=3)
+    trace = generate_trace(cfg)
+    before = copy.deepcopy(trace)
+    first = replay(trace, cfg)
+    second = replay(trace, cfg)
+    assert first.total_pairings > 0
+    assert first == second
+    assert trace == before

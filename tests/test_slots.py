@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from accpair.slots import PacketArrival, SlotStore, StoreFullError, candidate_accs
-from accpair.timing import ProtocolParams, acc_sub, hamming, slot_bounds
+from accpair.slots import PacketArrival, SlotStore, candidate_accs
+from accpair.timing import ProtocolParams, acc_sub, hamming, hamming_ball, slot_bounds
 
 PARAMS = ProtocolParams()
 
@@ -16,8 +16,8 @@ def make_store(**kw):
     return SlotStore(PARAMS, **kw)
 
 
-def erroneous(time, acc, ref=0):
-    return PacketArrival(time=time, acc=acc, erroneous=True, ref=ref)
+def erroneous(time, acc):
+    return PacketArrival(time=time, acc=acc, erroneous=True)
 
 
 class TestCandidateAccs:
@@ -35,6 +35,15 @@ class TestCandidateAccs:
     def test_cardinality(self, y, j, m):
         expected = sum(math.comb(8, b) for b in range(m + 1))
         assert len(candidate_accs(y, j, m)) == expected
+        for L in (2, 16, 256):
+            bits = L.bit_length() - 1
+            if m <= bits:
+                brute = tuple(u for u in range(L) if hamming(0, u) <= m)
+                assert hamming_ball(m, L) == brute
+                assert len(brute) == sum(math.comb(bits, b) for b in range(m + 1))
+            else:
+                with pytest.raises(ValueError, match=f"0..{bits}"):
+                    hamming_ball(m, L)
 
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
@@ -44,7 +53,7 @@ class TestCandidateAccs:
 class TestCreateSlots:
     def test_single_slot_for_zero_threshold(self):
         store = make_store()
-        assert store.create_slots(erroneous(0.0, 0x13), 0) == 1
+        assert store.create_slots(erroneous(0.0, 0x13), 0, ref=0) == 1
         (slot,) = store.iter_slots()
         assert slot.xi == 0x14
         assert slot.b == 0
@@ -52,7 +61,7 @@ class TestCreateSlots:
 
     def test_table_bounds(self):
         store = make_store()
-        assert store.create_slots(erroneous(5.0, 0x40), 1) == 9
+        assert store.create_slots(erroneous(5.0, 0x40), 1, ref=0) == 9
         slots = {s.xi: s for s in store.iter_slots()}
         assert set(slots) == TABLE_XIS
         for xi, slot in slots.items():
@@ -64,21 +73,16 @@ class TestCreateSlots:
     def test_shared_timebin_rows(self):
         # xi=0x41 and xi=0xC1 describe the same window at step 1
         store = make_store()
-        store.create_slots(erroneous(0.0, 0x40), 1)
+        store.create_slots(erroneous(0.0, 0x40), 1, ref=0)
         by_xi = {s.xi: s for s in store.iter_slots()}
         assert by_xi[0x41].start == by_xi[0xC1].start
         assert by_xi[0x41].width == by_xi[0xC1].width
 
-    def test_requires_ref(self):
+    def test_slots_carry_the_given_ref_and_base(self):
         store = make_store()
-        with pytest.raises(ValueError, match="ref"):
-            store.create_slots(PacketArrival(time=0.0, acc=0x40, erroneous=True), 1)
-
-    def test_capacity_bound(self):
-        store = make_store(capacity=10)
-        store.create_slots(erroneous(0.0, 0x40, ref=0), 1)
-        with pytest.raises(StoreFullError):
-            store.create_slots(erroneous(1.0, 0x50, ref=1), 1)
+        pkt = erroneous(0.0, 0x40)
+        store.create_slots(pkt, 1, ref=7)
+        assert {(s.base_ref, id(s.base)) for s in store.iter_slots()} == {(7, id(pkt))}
 
 
 class TestSlotsContaining:
@@ -87,20 +91,20 @@ class TestSlotsContaining:
 
     def test_window_hit(self):
         store = make_store()
-        store.create_slots(erroneous(0.0, 0x40), 0)
+        store.create_slots(erroneous(0.0, 0x40), 0, ref=0)
         hits = store.slots_containing(16.0)
         assert [s.xi for s in hits] == [0x41]
 
     def test_half_open_end_excluded(self):
         store = make_store()
-        store.create_slots(erroneous(0.0, 0x40), 0)
+        store.create_slots(erroneous(0.0, 0x40), 0, ref=0)
         (slot,) = store.iter_slots()
         assert store.slots_containing(slot.start) != []
         assert store.slots_containing(slot.end) == []
 
     def test_sorted_by_known_errors_then_creation(self):
         store = make_store()
-        store.create_slots(erroneous(0.0, 0x40), 1)
+        store.create_slots(erroneous(0.0, 0x40), 1, ref=0)
         hits = store.slots_containing(16.0)  # the shared 0x41/0xC1 window
         assert [s.xi for s in hits] == [0x41, 0xC1]
         assert [s.b for s in hits] == [0, 1]
@@ -109,12 +113,12 @@ class TestSlotsContaining:
 class TestAdvanceExpired:
     def test_noop_when_nothing_expired(self):
         store = make_store()
-        store.create_slots(erroneous(0.0, 0x40), 0)
+        store.create_slots(erroneous(0.0, 0x40), 0, ref=0)
         assert store.advance_expired(1.0) == (0, 0)
 
     def test_advance_recomputes_from_base_path(self):
         store = make_store()
-        store.create_slots(erroneous(0.0, 0x40), 0)
+        store.create_slots(erroneous(0.0, 0x40), 0, ref=0)
         advanced, expired = store.advance_expired(17.0)
         assert (advanced, expired) == (1, 0)
         (slot,) = store.iter_slots()
@@ -124,14 +128,14 @@ class TestAdvanceExpired:
 
     def test_shared_window_diverges_after_advance(self):
         store = make_store()
-        store.create_slots(erroneous(0.0, 0x40), 1)
+        store.create_slots(erroneous(0.0, 0x40), 1, ref=0)
         store.advance_expired(18.0)
         by_xi = {s.xi: s for s in store.iter_slots()}
         assert by_xi[0x42].start != by_xi[0xC2].start
 
     def test_timeout_removal(self):
         store = make_store(timeout=3)
-        store.create_slots(erroneous(0.0, 0x40), 0)
+        store.create_slots(erroneous(0.0, 0x40), 0, ref=0)
         removed_at = None
         for step in range(1, 6):
             advanced, expired = store.advance_expired(1000.0 * step)
@@ -143,14 +147,14 @@ class TestAdvanceExpired:
 
     def test_seen_arrival_removed_instead_of_advanced(self):
         store = make_store(expire_on_arrival=True)
-        store.create_slots(erroneous(0.0, 0x40), 0)
+        store.create_slots(erroneous(0.0, 0x40), 0, ref=0)
         store.slots_containing(16.0)[0].saw_arrival = True
         assert store.advance_expired(17.0) == (0, 1)
         assert len(store) == 0
 
     def test_always_advance_mode(self):
         store = make_store(expire_on_arrival=False)
-        store.create_slots(erroneous(0.0, 0x40), 0)
+        store.create_slots(erroneous(0.0, 0x40), 0, ref=0)
         store.slots_containing(16.0)[0].saw_arrival = True
         assert store.advance_expired(17.0) == (1, 0)
         assert len(store) == 1
@@ -158,7 +162,7 @@ class TestAdvanceExpired:
     def test_multi_window_catchup(self):
         # a long silent gap advances a slot through several windows at once
         store = make_store()
-        store.create_slots(erroneous(0.0, 0x40), 0)
+        store.create_slots(erroneous(0.0, 0x40), 0, ref=0)
         advanced, expired = store.advance_expired(50.0)
         assert advanced == 3
         (slot,) = store.iter_slots()
@@ -168,7 +172,7 @@ class TestAdvanceExpired:
     @settings(max_examples=50, deadline=None)
     def test_bounds_invariant_after_advances(self, y, rounds):
         store = make_store(timeout=20)
-        store.create_slots(erroneous(0.0, y), 1)
+        store.create_slots(erroneous(0.0, y), 1, ref=0)
         for k in range(rounds):
             store.advance_expired(20.0 * (k + 1))
         for slot in store.iter_slots():
@@ -178,7 +182,6 @@ class TestAdvanceExpired:
 
     def test_remove_base_drops_everything(self):
         store = make_store()
-        store.create_slots(erroneous(0.0, 0x40, ref=7), 1)
+        store.create_slots(erroneous(0.0, 0x40), 1, ref=7)
         assert store.remove_base(7) == 9
         assert len(store) == 0
-        assert not store.has_base(7)

@@ -72,6 +72,11 @@ class TestTraceParsing:
         with pytest.raises(TraceFormatError, match="bad time"):
             parse(HEADER + "abc,40,1,,\n")
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_time(self, text):
+        with pytest.raises(TraceFormatError, match="line 3: time .* is not finite"):
+            parse(HEADER + f"1.0,40,1,,\n{text},41,1,,\n0.5,42,1,,\n")
+
     def test_true_acc_requires_meter_id(self):
         with pytest.raises(TraceFormatError, match="meter_id"):
             parse(HEADER + "1.0,40,1,,41\n")
