@@ -2,7 +2,7 @@
 trace generation, all emitting deterministic CSV.
 
 Exit codes: 0 success, 2 usage error, 3 input parse error, 4 internal
-invariant violation.
+error (any other exception, reported without a traceback).
 """
 
 from __future__ import annotations
@@ -223,8 +223,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except AssertionError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # any other failure is a defect in accpair
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -65,9 +65,10 @@ class PairingEngine:
         M: maximum tolerated total Hamming distance for a pairing, in
             0..log2(params.L).
         policy: ``ANALYSIS`` or ``DEPLOYMENT`` slot-creation policy.
-        expire_on_arrival: drop (instead of advance) slots whose window
-            contained an arrival that did not pair.
         timeout: maximum step count a slot may reach.
+
+    A slot whose window contained an arrival that did not pair is dropped
+    when the window ends instead of advancing to the next step.
 
     Arrivals are numbered in processing order; ``PairingOutcome`` carries
     those numbers and the caller's packets are never modified.
@@ -78,7 +79,6 @@ class PairingEngine:
         params: Optional[ProtocolParams] = None,
         M: int = 0,
         policy: str = ANALYSIS,
-        expire_on_arrival: bool = True,
         timeout: int = 10,
     ) -> None:
         if policy not in (ANALYSIS, DEPLOYMENT):
@@ -86,7 +86,7 @@ class PairingEngine:
         self.params = params if params is not None else ProtocolParams()
         self.M = check_threshold(M, self.params.L)
         self.policy = policy
-        self.store = SlotStore(self.params, timeout=timeout, expire_on_arrival=expire_on_arrival)
+        self.store = SlotStore(self.params, timeout=timeout)
         self._last_time: Optional[float] = None
         self._next_ref = 0
 

@@ -7,6 +7,7 @@ seed, so trials are reproducible independently of execution order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -34,12 +35,17 @@ class SimConfig:
     horizon: float = 600.0        # seconds of trace to generate / replay
     timeout: int = 10             # maximum virtual-slot step count
     slot_policy: str = ANALYSIS
-    expire_on_arrival: bool = True
     emission_jitter: float = 0.0  # half-range of per-packet send-time jitter
     rng_seed: int = 0
     body_error_prob: Optional[float] = None
 
     def __post_init__(self) -> None:
+        for name in ("n", "trials", "timeout", "rng_seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be nonnegative, got {self.rng_seed}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
         if not 0.0 <= self.p <= 1.0:
@@ -51,8 +57,14 @@ class SimConfig:
         check_threshold(self.M, self.params.L)
         if self.timeout < 1:
             raise ValueError(f"timeout must be >= 1, got {self.timeout}")
-        if self.emission_jitter < 0:
-            raise ValueError("emission_jitter must be nonnegative")
+        if not (math.isfinite(self.horizon) and self.horizon >= 0):
+            raise ValueError(f"horizon must be finite and nonnegative, got {self.horizon}")
+        if not (math.isfinite(self.emission_jitter) and self.emission_jitter >= 0):
+            raise ValueError(
+                f"emission_jitter must be finite and nonnegative, got {self.emission_jitter}"
+            )
+        if self.body_error_prob is not None and not 0.0 <= self.body_error_prob <= 1.0:
+            raise ValueError(f"body_error_prob must be in [0, 1], got {self.body_error_prob}")
         if self.slot_policy not in (ANALYSIS, DEPLOYMENT):
             raise ValueError(f"unknown slot policy {self.slot_policy!r}")
 
@@ -107,12 +119,12 @@ def _trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def _flip_mask(rng: np.random.Generator, epsilon: float) -> int:
-    """Random 8-bit error pattern with independent per-bit probability."""
+def _flip_mask(rng: np.random.Generator, epsilon: float, L: int) -> int:
+    """Random error pattern over the log2(L) ACC bits, each flipped independently."""
     if epsilon <= 0.0:
         return 0
-    bits = rng.random(8) < epsilon
-    return int(sum(1 << i for i in range(8) if bits[i]))
+    bits = rng.random(L.bit_length() - 1) < epsilon
+    return sum(1 << i for i, flip in enumerate(bits.tolist()) if flip)
 
 
 def _union(intervals: Sequence[Tuple[float, float]]) -> List[Tuple[float, float]]:
@@ -165,7 +177,7 @@ def generate_trace(cfg: SimConfig, rng: Optional[np.random.Generator] = None) ->
             time = scheduled
             if cfg.emission_jitter > 0:
                 time += float(rng.uniform(-cfg.emission_jitter, cfg.emission_jitter))
-            mask = _flip_mask(rng, cfg.epsilon)
+            mask = _flip_mask(rng, cfg.epsilon, params.L)
             body_error = body_p > 0 and rng.random() < body_p
             arrivals.append(
                 PacketArrival(
@@ -186,13 +198,7 @@ def replay(trace: Sequence[PacketArrival], cfg: SimConfig) -> SimReport:
     Produces per-step class counts plus false-detection statistics when
     every pairing carried ground truth.
     """
-    engine = PairingEngine(
-        cfg.params,
-        M=cfg.M,
-        policy=cfg.slot_policy,
-        expire_on_arrival=cfg.expire_on_arrival,
-        timeout=cfg.timeout,
-    )
+    engine = PairingEngine(cfg.params, M=cfg.M, policy=cfg.slot_policy, timeout=cfg.timeout)
     steps = [StepCounts(step=k) for k in range(1, cfg.timeout + 1)]
     arrivals = 0
     pairs = 0
@@ -242,14 +248,8 @@ def _false_detection_trial(cfg: SimConfig, base_true_acc: int, rng: np.random.Ge
     params = cfg.params
     lam = cfg.n / params.t
     jit = cfg.emission_jitter
-    engine = PairingEngine(
-        params,
-        M=cfg.M,
-        policy=ANALYSIS,
-        expire_on_arrival=cfg.expire_on_arrival,
-        timeout=cfg.timeout,
-    )
-    y = base_true_acc ^ _flip_mask(rng, cfg.epsilon)
+    engine = PairingEngine(params, M=cfg.M, policy=ANALYSIS, timeout=cfg.timeout)
+    y = base_true_acc ^ _flip_mask(rng, cfg.epsilon, params.L)
     engine.on_arrival(PacketArrival(time=0.0, acc=y, erroneous=True, meter_id="base"))
     base_jit = float(rng.uniform(-jit, jit)) if jit > 0 else 0.0
 
@@ -271,7 +271,7 @@ def _false_detection_trial(cfg: SimConfig, base_true_acc: int, rng: np.random.Ge
             t_true = nominal_interval(base_true_acc, step, params)
             if jit > 0:
                 t_true += float(rng.uniform(-jit, jit)) - base_jit
-            acc_true = ((base_true_acc + step) % params.L) ^ _flip_mask(rng, cfg.epsilon)
+            acc_true = ((base_true_acc + step) % params.L) ^ _flip_mask(rng, cfg.epsilon, params.L)
             if any(a <= t_true < b for a, b in segments):
                 events.append((t_true, acc_true, True))
         events.sort(key=lambda e: e[0])
@@ -322,13 +322,7 @@ def simulate_memory(cfg: SimConfig) -> SimReport:
     for trial in range(cfg.trials):
         rng = _trial_rng(cfg.rng_seed, trial)
         trace = generate_trace(cfg, rng)
-        engine = PairingEngine(
-            cfg.params,
-            M=cfg.M,
-            policy=DEPLOYMENT,
-            expire_on_arrival=cfg.expire_on_arrival,
-            timeout=cfg.timeout,
-        )
+        engine = PairingEngine(cfg.params, M=cfg.M, policy=DEPLOYMENT, timeout=cfg.timeout)
         peak = 0
         for pkt in trace:
             engine.on_arrival(pkt)

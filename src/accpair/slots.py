@@ -1,16 +1,15 @@
 """Virtual-slot storage: creation, time-indexed lookup, advancement, expiry.
 
 A virtual slot predicts a future reception window for the next packet from
-the meter that sent some erroneous base packet.  The store keeps live slots
-in a start-time index (binary search lookup) and an end-time heap (expiry),
-so both containment queries and expiry sweeps are logarithmic plus output
-in the number of live slots.  A store instance is single-writer.
+the meter that sent some erroneous base packet.  The store keeps its live
+slots in one list sorted by window start.  A window that has ended has also
+started, so both containment queries and expiry sweeps read a prefix found
+by binary search.  A store instance is single-writer.
 """
 
 from __future__ import annotations
 
-import heapq
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -55,7 +54,6 @@ class VirtualSlot:
     base: PacketArrival  # the base packet: its time anchors every step's window
     seq: int = 0    # creation order, used for deterministic tie-breaks
     saw_arrival: bool = False
-    version: int = 0
 
     @property
     def end(self) -> float:
@@ -78,28 +76,22 @@ def candidate_accs(y: int, j: int, M: int, L: int = 256) -> Set[int]:
 class SlotStore:
     """Time-indexed container of live virtual slots for one receiver."""
 
-    def __init__(
-        self,
-        params: ProtocolParams,
-        timeout: int = 10,
-        expire_on_arrival: bool = True,
-    ) -> None:
+    def __init__(self, params: ProtocolParams, timeout: int = 10) -> None:
         self.params = params
         self.timeout = timeout
-        self.expire_on_arrival = expire_on_arrival
-        self._slots: Dict[int, VirtualSlot] = {}
-        self._by_start: List[Tuple[float, int]] = []
-        self._heap: List[Tuple[float, int, int]] = []  # (end, seq, version)
-        self._by_base: Dict[int, Set[int]] = {}
+        # (start, seq, slot) sorted by start; seq is unique, so no comparison
+        # ever reaches the slot itself
+        self._by_start: List[Tuple[float, int, VirtualSlot]] = []
+        self._by_base: Dict[int, Dict[int, VirtualSlot]] = {}  # base_ref -> seq -> slot
         self._max_width = 0.0
         self._next_seq = 0
 
     def __len__(self) -> int:
-        return len(self._slots)
+        return len(self._by_start)
 
     def iter_slots(self) -> List[VirtualSlot]:
         """Snapshot of live slots in creation order."""
-        return [self._slots[k] for k in sorted(self._slots)]
+        return sorted((slot for _, _, slot in self._by_start), key=lambda s: s.seq)
 
     # -- mutation ---------------------------------------------------------
 
@@ -110,6 +102,7 @@ class SlotStore:
         Returns the number of slots created.
         """
         cands = sorted(candidate_accs(pkt.acc, 1, M, self.params.L))
+        peers = self._by_base.setdefault(ref, {})
         for xi in cands:
             base = acc_sub(xi, 1, self.params.L)
             start, width = slot_bounds(base, 1, pkt.time, self.params)
@@ -124,46 +117,53 @@ class SlotStore:
                 seq=self._next_seq,
             )
             self._next_seq += 1
-            self._insert(slot)
+            peers[slot.seq] = slot
+            self._index(slot)
         return len(cands)
 
     def remove_base(self, base_ref: int) -> int:
         """Drop every live slot created by the given base packet."""
-        seqs = self._by_base.get(base_ref, set())
-        removed = 0
-        for seq in list(seqs):
-            self._remove(self._slots[seq])
-            removed += 1
-        return removed
+        peers = self._by_base.pop(base_ref, {})
+        for slot in peers.values():
+            self._unindex(slot)
+        return len(peers)
 
     def advance_expired(self, now: float) -> Tuple[int, int]:
         """Advance or drop every slot whose window has fully passed.
 
-        A slot whose window contained an arrival is dropped when the
-        expire-on-arrival policy is active; otherwise it moves to the next
-        step (expected ACC and bounds recomputed from its base packet) and
-        is dropped once the step count exceeds the timeout.  Returns
-        ``(advanced, expired)`` counts.
+        Only the prefix of the start index with ``start <= now`` can hold
+        such a slot.  A slot whose window contained an arrival is dropped;
+        any other moves to the next step (expected ACC and bounds recomputed
+        from its base packet) and is dropped once the step count exceeds
+        the timeout.  A moved slot is re-indexed by its new start, so one
+        call catches it up through every window that ended by ``now``.
+        Returns ``(advanced, expired)`` counts.
         """
         advanced = 0
         expired = 0
-        while self._heap and self._heap[0][0] <= now:
-            _, seq, version = heapq.heappop(self._heap)
-            slot = self._slots.get(seq)
-            if slot is None or slot.version != version:
-                continue  # stale heap entry
-            if (self.expire_on_arrival and slot.saw_arrival) or slot.step + 1 > self.timeout:
-                self._remove(slot)
+        by_start = self._by_start
+        i = 0
+        while i < len(by_start) and by_start[i][0] <= now:
+            slot = by_start[i][2]
+            if slot.end > now:
+                i += 1
+                continue
+            del by_start[i]
+            if slot.saw_arrival or slot.step + 1 > self.timeout:
+                peers = self._by_base[slot.base_ref]
+                del peers[slot.seq]
+                if not peers:
+                    del self._by_base[slot.base_ref]
                 expired += 1
                 continue
-            self._unindex(slot)
             slot.xi = (slot.xi + 1) % self.params.L
             slot.step += 1
             base = acc_sub(slot.xi, slot.step, self.params.L)
             slot.start, slot.width = slot_bounds(base, slot.step, slot.base.time, self.params)
             slot.saw_arrival = False
-            slot.version += 1
-            self._index(slot)
+            # the next window starts later unless an interval is <= 0; then
+            # the scan resumes where the slot landed
+            i = min(i, self._index(slot))
             advanced += 1
         return advanced, expired
 
@@ -180,38 +180,27 @@ class SlotStore:
         cutoff = time - self._max_width
         while i > 0:
             i -= 1
-            start, seq = self._by_start[i]
+            start, _, slot = self._by_start[i]
             if start < cutoff:
                 break
-            slot = self._slots[seq]
-            if slot.start <= time < slot.end:
+            if time < slot.end:
                 hits.append(slot)
         hits.sort(key=lambda s: (s.b, s.step, s.seq))
         return hits
 
     # -- internals --------------------------------------------------------
 
-    def _insert(self, slot: VirtualSlot) -> None:
-        self._slots[slot.seq] = slot
-        self._by_base.setdefault(slot.base_ref, set()).add(slot.seq)
-        self._index(slot)
-
-    def _index(self, slot: VirtualSlot) -> None:
-        insort(self._by_start, (slot.start, slot.seq))
-        heapq.heappush(self._heap, (slot.end, slot.seq, slot.version))
+    def _index(self, slot: VirtualSlot) -> int:
+        """Insert ``slot`` by start; returns its position in the index."""
+        entry = (slot.start, slot.seq, slot)
+        i = bisect_right(self._by_start, entry)
+        self._by_start.insert(i, entry)
         if slot.width > self._max_width:
             self._max_width = slot.width
+        return i
 
     def _unindex(self, slot: VirtualSlot) -> None:
-        i = bisect_right(self._by_start, (slot.start, slot.seq)) - 1
-        assert self._by_start[i] == (slot.start, slot.seq)
-        self._by_start.pop(i)
-        # matching heap entry is dropped lazily via the version counter
-
-    def _remove(self, slot: VirtualSlot) -> None:
-        self._unindex(slot)
-        del self._slots[slot.seq]
-        peers = self._by_base[slot.base_ref]
-        peers.discard(slot.seq)
-        if not peers:
-            del self._by_base[slot.base_ref]
+        # (start, seq) sorts just before its own (start, seq, slot) entry
+        i = bisect_left(self._by_start, (slot.start, slot.seq))
+        assert self._by_start[i][2] is slot
+        del self._by_start[i]

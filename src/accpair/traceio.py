@@ -7,8 +7,9 @@ Traces are UTF-8 CSV with LF line endings and a mandatory header::
 ``time_s`` carries nine fractional digits (slot widths are milliseconds,
 so microsecond rounding would corrupt boundary decisions), ``acc_hex`` is
 two hex digits, ``crc_ok`` is 0 or 1, and the ground-truth columns may be
-empty.  Experiment configurations are JSON documents mirroring SimConfig;
-unknown keys are rejected.
+empty.  Experiment configurations are JSON documents holding the
+SimConfig fields that trace generation reads, ``params`` and ``out``;
+any other key is rejected.
 """
 
 from __future__ import annotations
@@ -112,6 +113,9 @@ def read_trace(inp: IO[str]) -> List[PacketArrival]:
 
 _PARAM_KEYS = {f.name for f in dataclass_fields(ProtocolParams)}
 
+#: SimConfig fields that a trace-generation document may set.
+_TRACE_KEYS = ("n", "epsilon", "p", "horizon", "emission_jitter", "rng_seed", "body_error_prob")
+
 
 def load_experiment_config(inp: IO[str]):
     """Build a SimConfig from a JSON experiment document.
@@ -128,9 +132,7 @@ def load_experiment_config(inp: IO[str]):
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
 
-    sim_keys = {f.name for f in dataclass_fields(SimConfig)} - {"params"}
-    known = sim_keys | {"params", "out"}
-    unknown = sorted(set(doc) - known)
+    unknown = sorted(set(doc) - set(_TRACE_KEYS) - {"params", "out"})
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
@@ -143,7 +145,7 @@ def load_experiment_config(inp: IO[str]):
 
     try:
         params = ProtocolParams(**params_doc)
-        cfg = SimConfig(params=params, **{k: doc[k] for k in sim_keys if k in doc})
+        cfg = SimConfig(params=params, **{k: doc[k] for k in _TRACE_KEYS if k in doc})
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
     return cfg, doc.get("out")

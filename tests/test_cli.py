@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from accpair.cli import EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
+from accpair.cli import EXIT_INTERNAL, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 
 HEADER = "time_s,acc_hex,crc_ok,meter_id,true_acc_hex\n"
 
@@ -126,6 +126,21 @@ class TestReplay:
         trace.write_text(HEADER + "1.0,40,1,,\nnan,41,1,,\n0.5,42,1,,\n")
         code, _ = run(tmp_path, "replay", str(trace))
         assert code == EXIT_PARSE
+
+
+class TestInternalError:
+    def test_any_other_exception_exits_4_without_traceback(self, tmp_path, monkeypatch, capsys):
+        trace = tmp_path / "t.csv"
+        trace.write_text(HEADER + "1.0,40,1,,\n")
+        for exc in (RuntimeError("engine state"), KeyError(7)):
+            def fail(trace, cfg, exc=exc):
+                raise exc
+
+            monkeypatch.setattr("accpair.cli.replay", fail)
+            code, _ = run(tmp_path, "replay", str(trace))
+            assert code == EXIT_INTERNAL
+            err = capsys.readouterr().err
+            assert err == f"internal error: {type(exc).__name__}: {exc}\n"
 
 
 class TestGentrace:

@@ -10,7 +10,7 @@ from accpair.simulate import (
     transmission_times,
 )
 from accpair.slots import PacketArrival
-from accpair.timing import ProtocolParams, jitter_index
+from accpair.timing import ProtocolParams, jitter_index, nominal_interval
 
 PARAMS = ProtocolParams()
 
@@ -33,6 +33,27 @@ class TestSimConfig:
 
     def test_body_error_prob_override(self):
         assert SimConfig(epsilon=0.5, body_error_prob=0.0).effective_body_error_prob == 0.0
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"horizon": float("inf")},
+            {"horizon": float("nan")},
+            {"horizon": -1.0},
+            {"emission_jitter": float("inf")},
+            {"emission_jitter": float("nan")},
+            {"body_error_prob": 2.0},
+            {"body_error_prob": -0.5},
+            {"n": 2.5},
+            {"trials": 10.0},
+            {"timeout": True},
+            {"rng_seed": 1.0},
+            {"rng_seed": -1},
+        ],
+    )
+    def test_rejects_values_that_hang_or_crash_later(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            SimConfig(**bad)
 
 
 class TestTransmissionTimes:
@@ -65,6 +86,30 @@ class TestGenerateTrace:
     def test_zero_noise_packets_correct(self):
         trace = generate_trace(SimConfig(n=3, horizon=100.0, rng_seed=1))
         assert all(not a.erroneous and a.acc == a.true_acc for a in trace)
+
+    def test_emission_jitter_stays_within_schedule(self):
+        jitter = 0.05
+        cfg = SimConfig(n=4, horizon=200.0, emission_jitter=jitter, rng_seed=6)
+        trace = generate_trace(cfg)
+        assert all(a.time <= b.time for a, b in zip(trace, trace[1:]))
+        spreads = []
+        for meter in {a.meter_id for a in trace}:
+            rows = [a for a in trace if a.meter_id == meter]
+            assert len(rows) >= 12
+            # offset of each packet from its meter's schedule, up to the phase
+            offsets = [
+                a.time - nominal_interval(rows[0].true_acc, k, PARAMS)
+                for k, a in enumerate(rows)
+            ]
+            spreads.append(max(offsets) - min(offsets))
+        assert max(spreads) <= 2 * jitter + 1e-9
+        assert min(spreads) > jitter  # the jitter is really applied
+
+    def test_bit_errors_stay_within_a_small_counter(self):
+        params = ProtocolParams(L=16)
+        trace = generate_trace(SimConfig(params=params, n=4, epsilon=0.5, horizon=100.0))
+        assert trace and all(a.acc < 16 and a.true_acc < 16 for a in trace)
+        assert any(a.acc != a.true_acc for a in trace)
 
     def test_time_sorted_with_ground_truth(self):
         trace = generate_trace(SimConfig(n=4, horizon=100.0, rng_seed=2))
@@ -118,6 +163,11 @@ class TestSimulateFalseDetection:
     def test_no_interferers(self):
         report = simulate_false_detection(SimConfig(n=0, trials=200, rng_seed=1))
         assert report.fd_rate == 0.0
+
+    def test_small_counter_with_bit_errors(self):
+        cfg = SimConfig(params=ProtocolParams(L=16), n=400, M=1, epsilon=0.5, trials=50)
+        report = simulate_false_detection(cfg)
+        assert 0.0 <= report.fd_rate <= 1.0
 
     def test_rate_sane_and_deterministic(self):
         cfg = SimConfig(n=400, M=1, trials=3000, rng_seed=5)

@@ -146,18 +146,11 @@ class TestAdvanceExpired:
         assert len(store) == 0
 
     def test_seen_arrival_removed_instead_of_advanced(self):
-        store = make_store(expire_on_arrival=True)
+        store = make_store()
         store.create_slots(erroneous(0.0, 0x40), 0, ref=0)
         store.slots_containing(16.0)[0].saw_arrival = True
         assert store.advance_expired(17.0) == (0, 1)
         assert len(store) == 0
-
-    def test_always_advance_mode(self):
-        store = make_store(expire_on_arrival=False)
-        store.create_slots(erroneous(0.0, 0x40), 0, ref=0)
-        store.slots_containing(16.0)[0].saw_arrival = True
-        assert store.advance_expired(17.0) == (1, 0)
-        assert len(store) == 1
 
     def test_multi_window_catchup(self):
         # a long silent gap advances a slot through several windows at once
@@ -167,6 +160,16 @@ class TestAdvanceExpired:
         assert advanced == 3
         (slot,) = store.iter_slots()
         assert slot.step == 4
+
+    def test_catchup_when_a_window_starts_before_the_last(self):
+        # with L=2 the intervals alternate 2.5 s and -0.5 s, so each slot's
+        # step-2 window starts before its step-1 window
+        params = ProtocolParams(L=2, t=1.0, delta_map=(-1.5, 1.5), nu_b=0.5)
+        store = SlotStore(params, timeout=6)
+        store.create_slots(erroneous(0.0, 0), 0, ref=0)
+        store.create_slots(erroneous(2.0, 0), 0, ref=1)
+        assert store.advance_expired(6.0) == (4, 0)
+        assert [s.step for s in store.iter_slots()] == [3, 3]
 
     @given(st.integers(0, 255), st.integers(1, 8))
     @settings(max_examples=50, deadline=None)

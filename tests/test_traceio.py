@@ -110,6 +110,30 @@ class TestExperimentConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys: bogus"):
             load_experiment_config(self.good(bogus=1))
+        # SimConfig fields that trace generation never reads
+        for key, value in (("M", 1), ("trials", 5), ("timeout", 3), ("slot_policy", "analysis")):
+            with pytest.raises(ConfigError, match=f"unknown config keys: {key}$"):
+                load_experiment_config(self.good(**{key: value}))
+
+    def test_every_read_key_accepted(self):
+        cfg, _ = load_experiment_config(
+            self.good(p=0.1, emission_jitter=0.01, body_error_prob=0.5)
+        )
+        assert (cfg.p, cfg.emission_jitter, cfg.body_error_prob) == (0.1, 0.01, 0.5)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"horizon": Infinity}',
+            '{"n": 2.5}',
+            '{"emission_jitter": 1e400}',
+            '{"rng_seed": -1}',
+            '{"body_error_prob": 2.0}',
+        ],
+    )
+    def test_values_that_hang_or_crash_later_rejected(self, text):
+        with pytest.raises(ConfigError):
+            load_experiment_config(io.StringIO(text))
 
     def test_unknown_params_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown params"):
