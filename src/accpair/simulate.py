@@ -15,7 +15,7 @@ import numpy as np
 
 from .engine import ANALYSIS, DEPLOYMENT, PairingEngine
 from .slots import PacketArrival
-from .timing import ProtocolParams, check_threshold, jitter_index, nominal_interval
+from .timing import ProtocolParams, check_acc, check_threshold, nominal_interval
 
 #: Bit count of the modeled non-ACC packet remainder; a CRC failure can be
 #: caused by any of these bits even when the ACC itself survives.
@@ -148,10 +148,10 @@ def transmission_times(acc0: int, start: float, horizon: float, params: Protocol
     Follows the interval law exactly: each interval is the mean interval
     plus the jitter offset selected by the current ACC.
     """
-    time, acc = start, acc0
+    time, acc = start, check_acc(acc0, params.L)
     while time <= horizon:
         yield time, acc
-        time += params.t + params.delta(jitter_index(acc, params))
+        time += params.intervals[acc]
         acc = (acc + 1) % params.L
 
 

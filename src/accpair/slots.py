@@ -77,6 +77,9 @@ class SlotStore:
     """Time-indexed container of live virtual slots for one receiver."""
 
     def __init__(self, params: ProtocolParams, timeout: int = 10) -> None:
+        if timeout > params.max_timeout:
+            raise ValueError(f"timeout {timeout} exceeds {params.max_timeout}, the largest "
+                             "at which a slot's consecutive windows cannot overlap")
         self.params = params
         self.timeout = timeout
         # (start, seq, slot) sorted by start; seq is unique, so no comparison
@@ -161,20 +164,16 @@ class SlotStore:
             base = acc_sub(slot.xi, slot.step, self.params.L)
             slot.start, slot.width = slot_bounds(base, slot.step, slot.base.time, self.params)
             slot.saw_arrival = False
-            # the next window starts later unless an interval is <= 0; then
-            # the scan resumes where the slot landed
-            i = min(i, self._index(slot))
+            # the next window starts after this one, so the slot lands at or
+            # after position i and is met again if it is still due
+            self._index(slot)
             advanced += 1
         return advanced, expired
 
     # -- lookup -----------------------------------------------------------
 
     def slots_containing(self, time: float) -> List[VirtualSlot]:
-        """Live slots whose half-open window [start, start+width) holds ``time``.
-
-        Sorted by (b, step, creation sequence) so downstream tie-breaking is
-        deterministic.
-        """
+        """Live slots whose half-open window [start, start+width) holds ``time``."""
         hits: List[VirtualSlot] = []
         i = bisect_right(self._by_start, (time, float("inf")))
         cutoff = time - self._max_width
@@ -185,19 +184,15 @@ class SlotStore:
                 break
             if time < slot.end:
                 hits.append(slot)
-        hits.sort(key=lambda s: (s.b, s.step, s.seq))
         return hits
 
     # -- internals --------------------------------------------------------
 
-    def _index(self, slot: VirtualSlot) -> int:
-        """Insert ``slot`` by start; returns its position in the index."""
+    def _index(self, slot: VirtualSlot) -> None:
         entry = (slot.start, slot.seq, slot)
-        i = bisect_right(self._by_start, entry)
-        self._by_start.insert(i, entry)
+        self._by_start.insert(bisect_right(self._by_start, entry), entry)
         if slot.width > self._max_width:
             self._max_width = slot.width
-        return i
 
     def _unindex(self, slot: VirtualSlot) -> None:
         # (start, seq) sorts just before its own (start, seq, slot) entry

@@ -10,11 +10,10 @@ of plain ints and floats and is safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Tuple, Union
-
-DeltaMap = Union[Callable[[int], float], Tuple[float, ...]]
+from typing import Optional, Tuple
 
 #: Divisor of the built-in jitter offset formula; for t=16 s and L=256 it
 #: yields 7.8125 ms per jitter step and a +-0.5 s total swing, zero-mean
@@ -33,9 +32,15 @@ class ProtocolParams:
         nu_b: second cumulative relative clock tolerance.
         gamma_a: non-cumulative jitter allowance in seconds.
         gamma_b: second non-cumulative jitter allowance in seconds.
-        delta_map: optional jitter-index -> offset-seconds mapping, either a
-            callable or a sequence of length ``L//2 + 1``.  ``None`` selects
-            the built-in zero-mean, monotone offset formula.
+        delta_map: optional table of offsets in seconds by jitter index, of
+            length ``L//2 + 1``; ``None`` selects the built-in zero-mean,
+            monotone offset formula.
+
+    Construction also sets two attributes that are not fields (equality and
+    hashing ignore them): ``intervals[x] = t + delta(jitter_index(x))``, the
+    interval after ACC ``x``, each of which must be positive; and
+    ``max_timeout``, the largest slot timeout at which a slot's consecutive
+    windows cannot overlap.
     """
 
     L: int = 256
@@ -44,7 +49,7 @@ class ProtocolParams:
     nu_b: float = 110e-6
     gamma_a: float = 2e-3
     gamma_b: float = 2e-3
-    delta_map: Optional[DeltaMap] = None
+    delta_map: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
         if self.L < 2 or self.L & (self.L - 1):
@@ -54,7 +59,7 @@ class ProtocolParams:
         for name in ("nu_a", "nu_b", "gamma_a", "gamma_b"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.delta_map is not None and not callable(self.delta_map):
+        if self.delta_map is not None:
             # normalize to a tuple so the instance stays hashable
             object.__setattr__(self, "delta_map", tuple(float(v) for v in self.delta_map))
             if len(self.delta_map) != self.L // 2 + 1:
@@ -62,11 +67,21 @@ class ProtocolParams:
                     f"delta_map must cover jitter indices 0..{self.L // 2}, "
                     f"got length {len(self.delta_map)}"
                 )
+        intervals = tuple(self.t + self.delta(jitter_index(x, self)) for x in range(self.L))
+        object.__setattr__(self, "intervals", intervals)
+        if min(intervals) <= 0:
+            raise ValueError(f"delta_map makes an interval nonpositive ({min(intervals):g} s)")
         # t must be the average interval: delta averaged over one full ACC
         # cycle has to vanish (within 1e-3 * t).
-        mean = sum(self.delta(jitter_index(x, self)) for x in range(self.L)) / self.L
+        mean = sum(intervals) / self.L - self.t
         if abs(mean) > 1e-3 * self.t:
             raise ValueError(f"delta_map is not zero-mean over an ACC cycle (mean {mean:g} s)")
+        # a slot's step-j and step-(j+1) windows are disjoint for all j < timeout
+        # iff (timeout-1) * max(I) * (nu_a+nu_b) + gamma_a + gamma_b < min(I) * (1-nu_a)
+        room = min(intervals) * (1 - self.nu_a) - (self.gamma_a + self.gamma_b)
+        spread = max(intervals) * (self.nu_a + self.nu_b)
+        max_timeout = 1 if room <= 0 else math.ceil(room / spread) if spread else math.inf
+        object.__setattr__(self, "max_timeout", max_timeout)
 
     def delta(self, s: int) -> float:
         """Jitter offset in seconds for jitter index ``s``."""
@@ -74,8 +89,6 @@ class ProtocolParams:
             raise ValueError(f"jitter index {s} outside 0..{self.L // 2}")
         if self.delta_map is None:
             return self.t * (s - self.L // 4) / DEFAULT_DELTA_DIVISOR
-        if callable(self.delta_map):
-            return float(self.delta_map(s))
         return self.delta_map[s]
 
 
@@ -111,10 +124,10 @@ def hamming(a: int, b: int) -> int:
 
 
 def check_threshold(M: int, L: int = 256) -> int:
-    """Validate a bit-error threshold: ``M`` in 0..log2(L).  Returns ``M``."""
+    """Validate a bit-error threshold: an int ``M`` in 0..log2(L).  Returns ``M``."""
     bits = L.bit_length() - 1
-    if not 0 <= M <= bits:
-        raise ValueError(f"threshold M must be in 0..{bits}, got {M}")
+    if not isinstance(M, int) or isinstance(M, bool) or not 0 <= M <= bits:
+        raise ValueError(f"threshold M must be an integer in 0..{bits}, got {M!r}")
     return M
 
 
@@ -132,14 +145,14 @@ def hamming_ball(M: int, L: int = 256) -> Tuple[int, ...]:
 def nominal_interval(x: int, j: int, params: ProtocolParams) -> float:
     """Cumulative nominal time from ACC ``x`` to the packet ``j`` steps later.
 
-    Sums ``t + delta(pi(acc))`` along the ACC path ``x, x+1, ..., x+j-1``.
+    Sums ``params.intervals`` along the ACC path ``x, x+1, ..., x+j-1``.
     """
     if j < 0:
         raise ValueError(f"step count must be nonnegative, got {j}")
     acc = check_acc(x, params.L)
     total = 0.0
     for _ in range(j):
-        total += params.t + params.delta(jitter_index(acc, params))
+        total += params.intervals[acc]
         acc = (acc + 1) % params.L
     return total
 

@@ -101,6 +101,12 @@ class TestReplay:
         assert code == EXIT_OK
         assert text.splitlines()[1] == "1,1,0,0,0,,"
 
+    def test_timeout_with_overlapping_windows_is_usage_error(self, tmp_path):
+        trace = tmp_path / "t.csv"
+        trace.write_text(HEADER)
+        code, _ = run(tmp_path, "replay", str(trace), "--timeout", "7000")
+        assert code == EXIT_USAGE
+
     def test_parse_failure_exit_code(self, tmp_path):
         trace = tmp_path / "t.csv"
         trace.write_text(HEADER + "2.0,40,1,,\n1.0,41,1,,\n")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from accpair.engine import PairingEngine
 from accpair.slots import PacketArrival, SlotStore, candidate_accs
 from accpair.timing import ProtocolParams, acc_sub, hamming, hamming_ball, slot_bounds
 
@@ -102,12 +103,6 @@ class TestSlotsContaining:
         assert store.slots_containing(slot.start) != []
         assert store.slots_containing(slot.end) == []
 
-    def test_sorted_by_known_errors_then_creation(self):
-        store = make_store()
-        store.create_slots(erroneous(0.0, 0x40), 1, ref=0)
-        hits = store.slots_containing(16.0)  # the shared 0x41/0xC1 window
-        assert [s.xi for s in hits] == [0x41, 0xC1]
-        assert [s.b for s in hits] == [0, 1]
 
 
 class TestAdvanceExpired:
@@ -161,15 +156,16 @@ class TestAdvanceExpired:
         (slot,) = store.iter_slots()
         assert slot.step == 4
 
-    def test_catchup_when_a_window_starts_before_the_last(self):
-        # with L=2 the intervals alternate 2.5 s and -0.5 s, so each slot's
-        # step-2 window starts before its step-1 window
-        params = ProtocolParams(L=2, t=1.0, delta_map=(-1.5, 1.5), nu_b=0.5)
-        store = SlotStore(params, timeout=6)
-        store.create_slots(erroneous(0.0, 0), 0, ref=0)
-        store.create_slots(erroneous(2.0, 0), 0, ref=1)
-        assert store.advance_expired(6.0) == (4, 0)
-        assert [s.step for s in store.iter_slots()] == [3, 3]
+    def test_timeout_limited_to_disjoint_windows(self):
+        # 3 ms intervals are shorter than the 4 ms jitter allowance, so a
+        # step-2 window would overlap the step-1 window
+        params = ProtocolParams(L=16, t=0.003)
+        PairingEngine(params, timeout=1)
+        with pytest.raises(ValueError, match="timeout 2 exceeds 1"):
+            PairingEngine(params, timeout=2)
+        make_store(timeout=6709)
+        with pytest.raises(ValueError, match="exceeds 6709"):
+            make_store(timeout=6710)
 
     @given(st.integers(0, 255), st.integers(1, 8))
     @settings(max_examples=50, deadline=None)

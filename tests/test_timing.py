@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from accpair.engine import PairingEngine
+from accpair.simulate import SimConfig
 from accpair.timing import (
     ProtocolParams,
     acc_add,
     acc_sub,
     hamming,
+    hamming_ball,
     jitter_index,
     lead_time,
     nominal_interval,
@@ -42,7 +45,21 @@ class TestProtocolParams:
 
     def test_rejects_biased_delta_map(self):
         with pytest.raises(ValueError, match="zero-mean"):
-            ProtocolParams(delta_map=lambda s: 1.0)
+            ProtocolParams(delta_map=(1.0,) * 129)
+
+    def test_rejects_nonpositive_interval(self):
+        # intervals alternate 2.5 s and -0.5 s
+        with pytest.raises(ValueError, match="nonpositive"):
+            ProtocolParams(L=2, t=1.0, delta_map=(-1.5, 1.5))
+
+    @pytest.mark.parametrize("params", [
+        PARAMS,
+        ProtocolParams(delta_map=tuple(-16.0 * (s - 64) / 2048.0 for s in range(129))),
+    ])
+    def test_interval_table_is_the_interval_law(self, params):
+        assert params.intervals == tuple(
+            params.t + params.delta(jitter_index(x, params)) for x in range(params.L)
+        )
 
     def test_table_delta_map(self):
         table = tuple(16.0 * (s - 64) / 2048.0 for s in range(129))
@@ -52,6 +69,16 @@ class TestProtocolParams:
     def test_delta_map_length_checked(self):
         with pytest.raises(ValueError, match="cover jitter"):
             ProtocolParams(delta_map=[0.0] * 10)
+
+
+def test_threshold_must_be_an_integer():
+    for M in (1.5, 0.5, True):
+        with pytest.raises(ValueError, match="integer"):
+            PairingEngine(M=M)
+        with pytest.raises(ValueError, match="integer"):
+            SimConfig(M=M)
+        with pytest.raises(ValueError, match="integer"):
+            hamming_ball(M)
 
 
 class TestAccArithmetic:
