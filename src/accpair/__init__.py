@@ -5,15 +5,12 @@ machinery to quantify false pairing probability and receiver memory cost.
 
 from .analytic import (
     SaturationError,
-    Timebin,
-    TimebinLayout,
     allowed_combinations,
-    bin_combination_count,
-    build_timebins,
     max_distinguishable_meters,
     mean_qM,
     q0,
     qM,
+    sigma,
 )
 from .engine import ANALYSIS, DEPLOYMENT, PairingEngine, PairingOutcome, classify, pair_distance
 from .slots import (
@@ -57,15 +54,11 @@ __all__ = [
     "SimReport",
     "SlotStore",
     "StepCounts",
-    "Timebin",
-    "TimebinLayout",
     "TraceOrderError",
     "VirtualSlot",
     "acc_add",
     "acc_sub",
     "allowed_combinations",
-    "bin_combination_count",
-    "build_timebins",
     "candidate_accs",
     "classify",
     "generate_trace",
@@ -79,6 +72,7 @@ __all__ = [
     "q0",
     "qM",
     "replay",
+    "sigma",
     "simulate_false_detection",
     "simulate_memory",
     "slot_bounds",

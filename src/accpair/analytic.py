@@ -2,18 +2,17 @@
 
 With error-free channels the only way a pairing can be false is that an
 interfering packet lands, with a compatible ACC, in one of the predicted
-windows before the genuine next packet arrives.  This module builds the
-time partition of those windows (timebins), counts the ACC values that
-would falsely pair in each bin, and evaluates the resulting closed form
-under Poisson interference of rate ``lambda = n / t``.
+step-1 windows before the genuine next packet arrives.  This module sweeps
+the edges of those windows to find ``sigma_beta``, the time during which
+exactly ``beta`` ACC values would falsely pair, and evaluates the resulting
+closed form under Poisson interference of rate ``lambda = n / t``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Set
 
 from .timing import (
     ProtocolParams,
@@ -21,47 +20,13 @@ from .timing import (
     check_acc,
     hamming,
     hamming_ball,
-    lead_time,
+    nominal_interval,
     slot_bounds,
 )
 
 
 class SaturationError(RuntimeError):
     """The meter-count search cannot bracket the target probability."""
-
-
-@dataclass(frozen=True)
-class Timebin:
-    """Step-1 virtual slots sharing one reception window."""
-
-    members: Tuple[int, ...]  # expected ACCs of the member slots
-    width: float              # window duration in seconds
-    d: int                    # distinct ACCs that would falsely pair here
-
-
-@dataclass(frozen=True)
-class TimebinLayout:
-    """Partition of the step-1 windows preceding the genuine arrival.
-
-    ``bins_a`` are the candidate windows that start before the genuine
-    arrival's own window, in order of start time; each is exposed in full.
-    ``bin_b`` is the genuine arrival's own window, of which only the lead
-    time ``theta1`` precedes the arrival.
-    """
-
-    base_acc: int
-    M: int
-    bins_a: Tuple[Timebin, ...]
-    bin_b: Timebin
-    theta1: float
-
-    def sigma(self) -> Dict[int, float]:
-        """Duration exposed to exactly ``beta`` false ACC values, per beta."""
-        out: Dict[int, float] = {}
-        for a in self.bins_a:
-            out[a.d] = out.get(a.d, 0.0) + a.width
-        out[self.bin_b.d] = out.get(self.bin_b.d, 0.0) + self.theta1
-        return out
 
 
 def q0(lam: float, sigma: float, L: int = 256) -> float:
@@ -87,51 +52,46 @@ def allowed_combinations(xi: int, y: int, M: int, j: int = 1, L: int = 256) -> S
     return {xi ^ m for m in hamming_ball(M - b, L)}
 
 
-def bin_combination_count(members: Iterable[int], y: int, M: int, j: int = 1, L: int = 256) -> int:
-    """Distinct false ACC values across all member slots of one timebin."""
-    union: Set[int] = set()
-    for xi in members:
-        union |= allowed_combinations(xi, y, M, j, L)
-    return len(union)
+def sigma(y: int, M: int, params: ProtocolParams) -> Dict[int, float]:
+    """Duration exposed to exactly ``beta`` false ACC values, per beta.
 
-
-def build_timebins(y: int, M: int, params: ProtocolParams) -> TimebinLayout:
-    """Time partition of the step-1 windows relevant for false detection.
-
-    The candidate slots of observed ACC ``y`` (base ACCs ``c`` within ``M``
-    bit errors of ``y``, ``M`` in 0..log2(L)) are grouped by their step-1
-    window ``slot_bounds(c, 1, 0.0, params)``.  Windows that start after
-    the genuine arrival's own window are excluded, the rest are ordered by
-    start time.  The windows of different groups are assumed disjoint.
+    Every candidate base ``c`` within ``M`` bit errors of the observed ACC
+    ``y`` (``M`` in 0..log2(L)) opens the half-open step-1 window
+    ``slot_bounds(c, 1, ...)``.  Time 0 is the nominal arrival of the
+    genuine next packet, so every window is cut at 0 and the own window is
+    exposed for its lead time.  Between consecutive window edges the
+    segment counts the union of the ACC values that would pair with any
+    window open in it, so overlapping windows are counted once.
     """
-    check_acc(y, params.L)
-    windows: Dict[Tuple[float, float], List[int]] = {}
-    for m in hamming_ball(M, params.L):
+    L = params.L
+    origin = -nominal_interval(y, 1, params)  # checks y against L
+    edges = []  # (time, opens, mask of the candidate)
+    allowed: Dict[int, Set[int]] = {}
+    for m in hamming_ball(M, L):
         c = y ^ m
-        windows.setdefault(slot_bounds(c, 1, 0.0, params), []).append((c + 1) % params.L)
-
-    def make_bin(window: Tuple[float, float]) -> Timebin:
-        members = tuple(sorted(windows[window]))
-        return Timebin(
-            members=members,
-            width=window[1],
-            d=bin_combination_count(members, y, M, 1, params.L),
-        )
-
-    own = slot_bounds(y, 1, 0.0, params)
-    return TimebinLayout(
-        base_acc=y,
-        M=M,
-        bins_a=tuple(make_bin(w) for w in sorted(windows) if w[0] < own[0]),
-        bin_b=make_bin(own),
-        theta1=lead_time(y, 1, params),
-    )
+        start, width = slot_bounds(c, 1, origin, params)
+        end = min(start + width, 0.0)
+        if start < end:  # else empty, or not before the genuine arrival
+            allowed[m] = allowed_combinations((c + 1) % L, y, M, 1, L)
+            edges += [(start, True, m), (end, False, m)]
+    edges.sort()  # at equal times a window ends before another starts
+    out: Dict[int, float] = {}
+    active: Set[int] = set()
+    for (t0, opens, m), (t1, _, _) in zip(edges, edges[1:]):
+        if opens:
+            active.add(m)
+        else:
+            active.remove(m)
+        if active and t0 < t1:
+            beta = len(set().union(*(allowed[k] for k in active)))
+            out[beta] = out.get(beta, 0.0) + (t1 - t0)
+    return out
 
 
 @lru_cache(maxsize=None)
 def _beta_weighted_duration(y: int, M: int, params: ProtocolParams) -> float:
     """sum over beta of beta * sigma_beta for one base ACC."""
-    return sum(beta * dur for beta, dur in build_timebins(y, M, params).sigma().items())
+    return sum(beta * dur for beta, dur in sigma(y, M, params).items())
 
 
 def qM(y: int, M: int, n: float, params: ProtocolParams) -> float:

@@ -65,8 +65,8 @@ class PairingEngine:
         M: maximum tolerated total Hamming distance for a pairing, in
             0..log2(params.L).
         policy: ``ANALYSIS`` or ``DEPLOYMENT`` slot-creation policy.
-        timeout: maximum step count a slot may reach, at most
-            ``params.max_timeout``.
+        timeout: maximum step count a slot may reach, an int in
+            1..``params.max_timeout``.
 
     A slot whose window contained an arrival that did not pair is dropped
     when the window ends instead of advancing to the next step.

@@ -25,7 +25,8 @@ class PacketArrival:
     """One reception event.
 
     ``meter_id``/``true_acc`` are ground truth carried only for post-hoc
-    validation; they never influence pairing decisions.  The ACC range
+    validation; they never influence pairing decisions.  A ``true_acc``
+    needs a ``meter_id``; a ``meter_id`` alone is allowed.  The ACC range
     depends on the protocol's ``L``, so the engine checks it on arrival.
     """
 
@@ -36,9 +37,8 @@ class PacketArrival:
     true_acc: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if (self.meter_id is None) != (self.true_acc is None) and self.true_acc is not None:
-            # a bare true_acc without a meter id is meaningless ground truth
-            raise ValueError("ground-truth fields must be absent or both present")
+        if self.true_acc is not None and self.meter_id is None:
+            raise ValueError("a true_acc needs a meter_id")
 
 
 @dataclass
@@ -77,6 +77,8 @@ class SlotStore:
     """Time-indexed container of live virtual slots for one receiver."""
 
     def __init__(self, params: ProtocolParams, timeout: int = 10) -> None:
+        if not isinstance(timeout, int) or isinstance(timeout, bool) or timeout < 1:
+            raise ValueError(f"timeout must be an integer >= 1, got {timeout!r}")
         if timeout > params.max_timeout:
             raise ValueError(f"timeout {timeout} exceeds {params.max_timeout}, the largest "
                              "at which a slot's consecutive windows cannot overlap")

@@ -59,13 +59,19 @@ def write_trace(out: IO[str], trace: Iterable[PacketArrival]) -> int:
     return count
 
 
+_HEX_DIGITS = {c: int(c, 16) for c in "0123456789abcdefABCDEF"}
+#: every string of exactly two hex digits (either case) to its byte value;
+#: unlike int(text, 16) it admits no sign, space or underscore
+_HEX_BYTES = {
+    a + b: 16 * va + vb for a, va in _HEX_DIGITS.items() for b, vb in _HEX_DIGITS.items()
+}
+
+
 def _parse_byte(text: str, line: int, column: str) -> int:
-    if len(text) != 2:
+    value = _HEX_BYTES.get(text)
+    if value is None:
         raise TraceFormatError(line, f"{column} must be two hex digits, got {text!r}")
-    try:
-        return int(text, 16)
-    except ValueError:
-        raise TraceFormatError(line, f"{column} is not valid hex: {text!r}") from None
+    return value
 
 
 def read_trace(inp: IO[str]) -> List[PacketArrival]:

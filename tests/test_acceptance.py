@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from accpair.analytic import build_timebins, max_distinguishable_meters, mean_qM, q0, qM
+from accpair.analytic import max_distinguishable_meters, mean_qM, q0, qM, sigma
 from accpair.cli import main
 from accpair.engine import DEPLOYMENT, PairingEngine
 from accpair.simulate import (
@@ -55,15 +55,10 @@ def test_criterion_2_timebin_oracle():
     for y in range(256):
         pi_y = abs(y - 128)
         for m in (0, 1, 2):
-            layout = build_timebins(y, m, PARAMS)
             groups = {}
             for c in range(256):
                 if hamming(y, c) <= m:
                     groups.setdefault(abs(c - 128), set()).add((c + 1) % 256)
-            ok &= [set(b.members) for b in layout.bins_a] == [
-                groups[s] for s in sorted(groups) if s < pi_y
-            ]
-            ok &= set(layout.bin_b.members) == groups[pi_y]
             sigma_oracle = {}
             for s, members in groups.items():
                 if s > pi_y:
@@ -77,18 +72,20 @@ def test_criterion_2_timebin_oracle():
                     else slot_width((next(iter(members)) - 1) % 256, 1, PARAMS)
                 )
                 sigma_oracle[d] = sigma_oracle.get(d, 0.0) + dur
-            sigma = layout.sigma()
-            ok &= set(sigma) == set(sigma_oracle)
-            ok &= all(abs(sigma[k] - sigma_oracle[k]) < 1e-12 for k in sigma_oracle)
-    # the two worked examples, exactly
-    fig_a = build_timebins(0x40, 1, PARAMS)
-    ok &= [set(b.members) for b in fig_a.bins_a] == [
-        {0x61}, {0x51}, {0x49}, {0x45}, {0x43}, {0x42}]
-    ok &= set(fig_a.bin_b.members) == {0x41, 0xC1} and fig_a.bin_b.d == 9
-    fig_b = build_timebins(0x20, 1, PARAMS)
-    ok &= [set(b.members) for b in fig_b.bins_a] == [
-        {0x61, 0xA1}, {0x31}, {0x29}, {0x25}, {0x23}, {0x22}]
-    ok &= set(fig_b.bin_b.members) == {0x21}
+            sig = sigma(y, m, PARAMS)
+            ok &= set(sig) == set(sigma_oracle)
+            ok &= all(abs(sig[k] - sigma_oracle[k]) < 1e-12 for k in sigma_oracle)
+    # the two worked examples: sigma_1 sums six (0x40) or five (0x20) full
+    # windows, 0x20's shared window of 0x61 and 0xA1 gives sigma_2, and the
+    # own window counts nine values for its lead time theta_1
+    width = lambda *bases: sum(slot_width(c, 1, PARAMS) for c in bases)
+    fig_a = sigma(0x40, 1, PARAMS)
+    ok &= set(fig_a) == {1, 9} and fig_a[9] == lead_time(0x40, 1, PARAMS)
+    ok &= abs(fig_a[1] - width(0x60, 0x50, 0x48, 0x44, 0x42, 0x41)) < 1e-12
+    fig_b = sigma(0x20, 1, PARAMS)
+    ok &= set(fig_b) == {2, 1, 9} and fig_b[9] == lead_time(0x20, 1, PARAMS)
+    ok &= abs(fig_b[2] - width(0x60)) < 1e-12
+    ok &= abs(fig_b[1] - width(0x30, 0x28, 0x24, 0x22, 0x21)) < 1e-12
     elapsed = time.perf_counter() - t0
     report(2, ok and elapsed < 10.0, f"all 256 ACCs, M in 0..2, {elapsed:.1f}s")
 

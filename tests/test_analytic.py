@@ -1,16 +1,17 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from accpair.analytic import (
     SaturationError,
     allowed_combinations,
-    bin_combination_count,
-    build_timebins,
     max_distinguishable_meters,
     mean_qM,
     q0,
     qM,
+    sigma,
 )
 from accpair.simulate import SimConfig, _false_detection_trial, _trial_rng
 from accpair.timing import (
@@ -44,34 +45,38 @@ class TestQ0:
             q0(-1.0, 1.0)
 
 
+def widths(*bases):
+    """Summed step-1 window widths of the given base ACCs."""
+    return sum(slot_width(c, 1, PARAMS) for c in bases)
+
+
 class TestBuildTimebins:
     def test_base_40(self):
-        layout = build_timebins(0x40, 1, PARAMS)
-        assert [set(b.members) for b in layout.bins_a] == [
-            {0x61}, {0x51}, {0x49}, {0x45}, {0x43}, {0x42},
-        ]
-        assert set(layout.bin_b.members) == {0x41, 0xC1}
-        assert layout.bin_b.d == 9
-        assert all(b.d == 1 for b in layout.bins_a)
+        # six earlier windows with one false ACC each; the own window (slots
+        # 0x41 and 0xC1) is exposed for its lead time only
+        s = sigma(0x40, 1, PARAMS)
+        assert set(s) == {1, 9}
+        assert s[1] == pytest.approx(widths(0x60, 0x50, 0x48, 0x44, 0x42, 0x41), rel=1e-12)
+        assert s[9] == lead_time(0x40, 1, PARAMS)
 
     def test_base_20(self):
-        layout = build_timebins(0x20, 1, PARAMS)
-        assert [set(b.members) for b in layout.bins_a] == [
-            {0x61, 0xA1}, {0x31}, {0x29}, {0x25}, {0x23}, {0x22},
-        ]
-        assert set(layout.bin_b.members) == {0x21}
+        s = sigma(0x20, 1, PARAMS)
+        assert set(s) == {2, 1, 9}
+        assert s[2] == pytest.approx(widths(0x60), rel=1e-12)  # slots 0x61 and 0xA1
+        assert s[1] == pytest.approx(widths(0x30, 0x28, 0x24, 0x22, 0x21), rel=1e-12)
+        assert s[9] == lead_time(0x20, 1, PARAMS)
 
     def test_zero_threshold(self):
-        layout = build_timebins(0x37, 0, PARAMS)
-        assert layout.bins_a == ()
-        assert set(layout.bin_b.members) == {0x38}
-        assert layout.bin_b.d == 1
+        assert sigma(0x37, 0, PARAMS) == {1: lead_time(0x37, 1, PARAMS)}
 
     def test_sigma_totals(self):
-        layout = build_timebins(0x40, 1, PARAMS)
-        total = sum(layout.sigma().values())
-        expected = layout.theta1 + sum(b.width for b in layout.bins_a)
-        assert total == pytest.approx(expected, rel=1e-12)
+        # disjoint default windows: the exposed time is the lead time plus
+        # every distinct candidate window that starts before the own one
+        for y in range(256):
+            own = slot_bounds(y, 1, 0.0, PARAMS)[0]
+            windows = {slot_bounds(c, 1, 0.0, PARAMS) for c in range(256) if hamming(y, c) <= 1}
+            expected = lead_time(y, 1, PARAMS) + sum(w for start, w in windows if start < own)
+            assert sum(sigma(y, 1, PARAMS).values()) == pytest.approx(expected, rel=1e-12)
 
 
 class TestAllowedCombinations:
@@ -91,13 +96,14 @@ class TestAllowedCombinations:
 
 class TestBinCombinationCount:
     def test_overlapping_balls_merge(self):
-        assert bin_combination_count([0x41, 0xC1], 0x40, 1) == 9
+        # the own window of 0x40 holds slots 0x41 (ball of 9) and 0xC1 (inside it)
+        assert max(sigma(0x40, 1, PARAMS)) == 9
 
     def test_singleton(self):
-        assert bin_combination_count([0x42], 0x40, 1) == 1
+        assert 1 in sigma(0x40, 1, PARAMS)
 
     def test_disjoint_singletons(self):
-        assert bin_combination_count([0x61, 0xA1], 0x20, 1) == 2
+        assert 2 in sigma(0x20, 1, PARAMS)  # slots 0x61 and 0xA1 share a window
 
 
 class TestQM:
@@ -127,30 +133,41 @@ class TestBruteForceOracle:
     @pytest.mark.parametrize("y", [0x00, 0x20, 0x40, 0x7F, 0x80, 0xC3, 0xFF])
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_layout_matches_enumeration(self, y, m):
-        layout = build_timebins(y, m, PARAMS)
         pi = lambda v: abs(v - 128)
         groups = {}
         for c in range(256):
             if hamming(y, c) <= m:
                 groups.setdefault(pi(c), set()).add((c + 1) % 256)
-        pi_y = pi(y)
-        assert [set(b.members) for b in layout.bins_a] == [
-            groups[s] for s in sorted(groups) if s < pi_y
-        ]
-        assert set(layout.bin_b.members) == groups[pi_y]
-        for b in list(layout.bins_a) + [layout.bin_b]:
+        oracle = {}
+        for jitter, members in groups.items():
+            if jitter > pi(y):
+                continue
             would_pair = sum(
                 1
                 for u in range(256)
-                if any(hamming(y, (xi - 1) % 256) + hamming(xi, u) <= m for xi in b.members)
+                if any(hamming(y, (xi - 1) % 256) + hamming(xi, u) <= m for xi in members)
             )
-            assert b.d == would_pair
-            assert b.width == pytest.approx(slot_width((b.members[0] - 1) % 256, 1, PARAMS))
+            duration = (lead_time(y, 1, PARAMS) if jitter == pi(y)
+                        else slot_width((next(iter(members)) - 1) % 256, 1, PARAMS))
+            oracle[would_pair] = oracle.get(would_pair, 0.0) + duration
+        s = sigma(y, m, PARAMS)
+        assert set(s) == set(oracle)
+        for beta, duration in oracle.items():
+            assert s[beta] == pytest.approx(duration, rel=1e-12)
 
 
 #: Zero-mean offsets decreasing in the jitter index: a larger index now
 #: means an earlier step-1 window.
 REVERSED = ProtocolParams(delta_map=tuple(-16.0 * (s - 64) / 2048.0 for s in range(129)))
+
+#: Geometries whose step-1 windows are not the disjoint, start-ordered
+#: default: reversed order, and windows of neighbouring jitter indices that
+#: overlap through jitter or through clock tolerance.
+GEOMETRIES = {
+    "reversed": REVERSED,
+    "gamma": ProtocolParams(gamma_a=0.02, gamma_b=0.02),
+    "nu": ProtocolParams(nu_a=1e-3, nu_b=1e-3),
+}
 
 
 def swept_sigma(y, m, params):
@@ -182,25 +199,48 @@ def swept_sigma(y, m, params):
 
 
 class TestReversedDeltaMap:
-    def test_sigma_matches_window_sweep(self):
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_sigma_matches_window_sweep(self, geometry):
+        params = GEOMETRIES[geometry]
         for y in range(256):
             for m in (0, 1, 2):
-                sigma = build_timebins(y, m, REVERSED).sigma()
-                oracle = swept_sigma(y, m, REVERSED)
-                assert set(sigma) == set(oracle), (y, m)
+                s = sigma(y, m, params)
+                oracle = swept_sigma(y, m, params)
+                assert set(s) == set(oracle), (y, m)
                 for beta, duration in oracle.items():
-                    assert abs(sigma[beta] - duration) < 1e-12, (y, m, beta)
+                    assert abs(s[beta] - duration) < 1e-12, (y, m, beta)
 
-    @pytest.mark.parametrize("y", [0x40, 0x20])
-    def test_per_acc_monte_carlo_agrees(self, y):
+    @pytest.mark.parametrize("geometry, y", [
+        ("reversed", 0x40), ("reversed", 0x20), ("gamma", 0x40), ("nu", 0x40),
+    ])
+    def test_per_acc_monte_carlo_agrees(self, geometry, y):
+        params = GEOMETRIES[geometry]
         trials, n = 20_000, 2000
-        cfg = SimConfig(params=REVERSED, n=n, M=1)
+        cfg = SimConfig(params=params, n=n, M=1)
         hits = sum(
             _false_detection_trial(cfg, y, _trial_rng(7000 + y, i)) for i in range(trials)
         )
-        expected = qM(y, 1, n, REVERSED)
+        expected = qM(y, 1, n, params)
         se = math.sqrt(expected * (1 - expected) / trials)
         assert abs(hits / trials - expected) <= 3 * se, (hits / trials, expected)
+
+
+@given(
+    L=st.sampled_from([4, 8, 16, 32, 64]),
+    t=st.floats(0.01, 64.0),
+    nu_a=st.floats(0.0, 0.01),
+    nu_b=st.floats(0.0, 0.01),
+    gamma_a=st.floats(0.0, 0.5),
+    gamma_b=st.floats(0.0, 0.5),
+)
+@settings(max_examples=40, deadline=None)
+def test_sigma_matches_window_sweep_on_random_geometry(L, t, nu_a, nu_b, gamma_a, gamma_b):
+    params = ProtocolParams(L=L, t=t, nu_a=nu_a, nu_b=nu_b, gamma_a=gamma_a, gamma_b=gamma_b)
+    for y in range(L):
+        for m in range(L.bit_length()):
+            s, oracle = sigma(y, m, params), swept_sigma(y, m, params)
+            for beta in set(s) | set(oracle):
+                assert abs(s.get(beta, 0.0) - oracle.get(beta, 0.0)) < 1e-12, (y, m, beta)
 
 
 class TestMaxDistinguishableMeters:

@@ -113,6 +113,12 @@ class TestReplay:
         code, _ = run(tmp_path, "replay", str(trace))
         assert code == EXIT_PARSE
 
+    def test_signed_hex_is_parse_error(self, tmp_path):
+        trace = tmp_path / "t.csv"
+        trace.write_text(HEADER + "1.0,-1,1,,\n")
+        code, _ = run(tmp_path, "replay", str(trace))
+        assert code == EXIT_PARSE
+
     def test_missing_file(self, tmp_path):
         code, _ = run(tmp_path, "replay", str(tmp_path / "nope.csv"))
         assert code == EXIT_PARSE

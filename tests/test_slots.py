@@ -21,6 +21,14 @@ def erroneous(time, acc):
     return PacketArrival(time=time, acc=acc, erroneous=True)
 
 
+class TestPacketArrival:
+    def test_true_acc_needs_meter_id(self):
+        with pytest.raises(ValueError, match="a true_acc needs a meter_id"):
+            PacketArrival(time=0.0, acc=0x40, erroneous=False, true_acc=0x40)
+        # read_trace and the fd simulator build packets with only a meter id
+        assert PacketArrival(time=0.0, acc=0x40, erroneous=False, meter_id="m").true_acc is None
+
+
 class TestCandidateAccs:
     def test_zero_threshold_unique_successor(self):
         assert candidate_accs(0x40, 1, 0) == {0x41}
@@ -166,6 +174,13 @@ class TestAdvanceExpired:
         make_store(timeout=6709)
         with pytest.raises(ValueError, match="exceeds 6709"):
             make_store(timeout=6710)
+
+    @pytest.mark.parametrize("timeout", [0, -1, 2.5, True])
+    def test_timeout_must_be_a_positive_integer(self, timeout):
+        with pytest.raises(ValueError, match="timeout must be an integer"):
+            make_store(timeout=timeout)
+        with pytest.raises(ValueError, match="timeout must be an integer"):
+            PairingEngine(PARAMS, timeout=timeout)
 
     @given(st.integers(0, 255), st.integers(1, 8))
     @settings(max_examples=50, deadline=None)

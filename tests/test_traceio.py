@@ -64,6 +64,16 @@ class TestTraceParsing:
         with pytest.raises(TraceFormatError, match="two hex digits"):
             parse(HEADER + "1.0,4,1,,\n")
 
+    @pytest.mark.parametrize("text", ["-1", "+f", " f", "f ", "_1", "0x"])
+    def test_hex_admits_no_sign_or_space(self, text):
+        with pytest.raises(TraceFormatError, match="acc_hex must be two hex digits"):
+            parse(HEADER + f"1.0,{text},1,,\n")
+        with pytest.raises(TraceFormatError, match="true_acc_hex must be two hex digits"):
+            parse(HEADER + f"1.0,40,1,m,{text}\n")
+
+    def test_hex_either_case(self):
+        assert [p.acc for p in parse(HEADER + "1.0,aB,1,,\n2.0,Ff,1,,\n")] == [0xAB, 0xFF]
+
     def test_bad_crc_flag(self):
         with pytest.raises(TraceFormatError, match="crc_ok"):
             parse(HEADER + "1.0,40,yes,,\n")
