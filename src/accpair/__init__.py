@@ -5,7 +5,6 @@ machinery to quantify false pairing probability and receiver memory cost.
 
 from .analytic import (
     SaturationError,
-    allowed_combinations,
     max_distinguishable_meters,
     mean_qM,
     q0,
@@ -18,7 +17,6 @@ from .slots import (
     SlotStore,
     TraceOrderError,
     VirtualSlot,
-    candidate_accs,
 )
 from .simulate import (
     SimConfig,
@@ -32,8 +30,6 @@ from .simulate import (
 )
 from .timing import (
     ProtocolParams,
-    acc_add,
-    acc_sub,
     hamming,
     jitter_index,
     lead_time,
@@ -56,10 +52,6 @@ __all__ = [
     "StepCounts",
     "TraceOrderError",
     "VirtualSlot",
-    "acc_add",
-    "acc_sub",
-    "allowed_combinations",
-    "candidate_accs",
     "classify",
     "generate_trace",
     "hamming",

@@ -14,15 +14,11 @@ import math
 from functools import lru_cache
 from typing import Dict, Set
 
-from .timing import (
-    ProtocolParams,
-    acc_sub,
-    check_acc,
-    hamming,
-    hamming_ball,
-    nominal_interval,
-    slot_bounds,
-)
+from .timing import ProtocolParams, hamming_ball, nominal_interval, slot_bounds
+
+
+#: Largest meter count the sizing search tries before giving up.
+N_CAP = 2**40
 
 
 class SaturationError(RuntimeError):
@@ -40,18 +36,6 @@ def q0(lam: float, sigma: float, L: int = 256) -> float:
     return -math.expm1(-lam * sigma / L)
 
 
-def allowed_combinations(xi: int, y: int, M: int, j: int = 1, L: int = 256) -> Set[int]:
-    """ACC values an arrival may carry and still pair with slot ``xi``.
-
-    The slot consumed ``H(y, xi - j)`` of the ``M`` tolerated bit errors;
-    the remainder is available to the arriving ACC.
-    """
-    b = hamming(check_acc(y, L), acc_sub(xi, j, L))
-    if b > M:
-        raise ValueError(f"slot {xi:#04x} is not a candidate for y={y:#04x} at M={M}")
-    return {xi ^ m for m in hamming_ball(M - b, L)}
-
-
 def sigma(y: int, M: int, params: ProtocolParams) -> Dict[int, float]:
     """Duration exposed to exactly ``beta`` false ACC values, per beta.
 
@@ -59,9 +43,10 @@ def sigma(y: int, M: int, params: ProtocolParams) -> Dict[int, float]:
     ``y`` (``M`` in 0..log2(L)) opens the half-open step-1 window
     ``slot_bounds(c, 1, ...)``.  Time 0 is the nominal arrival of the
     genuine next packet, so every window is cut at 0 and the own window is
-    exposed for its lead time.  Between consecutive window edges the
-    segment counts the union of the ACC values that would pair with any
-    window open in it, so overlapping windows are counted once.
+    exposed for its lead time.  The window pairs with the ACC values within
+    ``M - H(y, c)`` bits of ``c + 1``.  Between consecutive window edges
+    the segment counts the union of the ACC values that would pair with
+    any window open in it, so overlapping windows are counted once.
     """
     L = params.L
     origin = -nominal_interval(y, 1, params)  # checks y against L
@@ -72,7 +57,7 @@ def sigma(y: int, M: int, params: ProtocolParams) -> Dict[int, float]:
         start, width = slot_bounds(c, 1, origin, params)
         end = min(start + width, 0.0)
         if start < end:  # else empty, or not before the genuine arrival
-            allowed[m] = allowed_combinations((c + 1) % L, y, M, 1, L)
+            allowed[m] = {((c + 1) % L) ^ k for k in hamming_ball(M - m.bit_count(), L)}
             edges += [(start, True, m), (end, False, m)]
     edges.sort()  # at equal times a window ends before another starts
     out: Dict[int, float] = {}
@@ -91,7 +76,11 @@ def sigma(y: int, M: int, params: ProtocolParams) -> Dict[int, float]:
 @lru_cache(maxsize=None)
 def _beta_weighted_duration(y: int, M: int, params: ProtocolParams) -> float:
     """sum over beta of beta * sigma_beta for one base ACC."""
-    return sum(beta * dur for beta, dur in sigma(y, M, params).items())
+    # not sum(), which is compensated from Python 3.12 on: same bits everywhere
+    total = 0.0
+    for beta, dur in sigma(y, M, params).items():
+        total += beta * dur
+    return total
 
 
 def qM(y: int, M: int, n: float, params: ProtocolParams) -> float:
@@ -104,19 +93,17 @@ def qM(y: int, M: int, n: float, params: ProtocolParams) -> float:
 
 def mean_qM(M: int, n: float, params: ProtocolParams) -> float:
     """``qM`` averaged over all possible base ACC values."""
-    return sum(qM(y, M, n, params) for y in range(params.L)) / params.L
+    total = 0.0  # not sum(): see _beta_weighted_duration
+    for y in range(params.L):
+        total += qM(y, M, n, params)
+    return total / params.L
 
 
-def max_distinguishable_meters(
-    target_q: float,
-    M: int,
-    params: ProtocolParams,
-    n_cap: int = 2**40,
-) -> int:
+def max_distinguishable_meters(target_q: float, M: int, params: ProtocolParams) -> int:
     """Largest meter count keeping the mean false-detection rate at bay.
 
     Returns the largest integer ``n`` with ``mean_qM(M, n) <= target_q``.
-    Raises SaturationError when no such bound exists below ``n_cap``.
+    Raises SaturationError when no such bound exists below ``N_CAP``.
     """
     if not 0.0 < target_q < 1.0:
         raise ValueError(f"target probability must be in (0, 1), got {target_q}")
@@ -125,9 +112,9 @@ def max_distinguishable_meters(
     hi = 1
     while mean_qM(M, hi, params) <= target_q:
         hi *= 2
-        if hi > n_cap:
+        if hi > N_CAP:
             raise SaturationError(
-                f"mean false-detection rate stays below {target_q} up to n={n_cap}"
+                f"mean false-detection rate stays below {target_q} up to n={N_CAP}"
             )
     lo = hi // 2  # mean_qM(lo) <= target < mean_qM(hi)
     while hi - lo > 1:

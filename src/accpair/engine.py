@@ -94,8 +94,9 @@ class PairingEngine:
     def on_arrival(self, pkt: PacketArrival) -> PairingOutcome:
         """Process one arrival and decide pair / no-pair.
 
-        An arrival with an ACC outside 0..L-1, a non-finite time or a time
-        before the previous arrival raises before any engine state changes.
+        An arrival whose ACC is not an int in 0..L-1, or whose time is not
+        finite or precedes the previous arrival, raises before any engine
+        state changes.
         """
         check_acc(pkt.acc, self.params.L)
         if not math.isfinite(pkt.time):

@@ -32,7 +32,7 @@ class SimConfig:
     epsilon: float = 0.0          # per-bit error probability on received ACCs
     p: float = 0.0                # packet erasure probability
     trials: int = 1000
-    horizon: float = 600.0        # seconds of trace to generate / replay
+    horizon: float = 600.0        # seconds of trace generate_trace makes; replay ignores it
     timeout: int = 10             # maximum virtual-slot step count
     slot_policy: str = ANALYSIS
     emission_jitter: float = 0.0  # half-range of per-packet send-time jitter

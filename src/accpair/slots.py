@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .timing import ProtocolParams, acc_sub, check_acc, hamming, hamming_ball, slot_bounds
+from .timing import ProtocolParams, hamming_ball, slot_bounds
 
 
 class TraceOrderError(ValueError):
@@ -60,19 +60,6 @@ class VirtualSlot:
         return self.start + self.width
 
 
-def candidate_accs(y: int, j: int, M: int, L: int = 256) -> Set[int]:
-    """Expected ACCs ``xi`` after ``j`` steps compatible with observation ``y``.
-
-    A candidate admits at most ``M`` bit errors in ``y``:
-    ``H(y, xi - j) <= M``, with ``M`` in 0..log2(L).  The result has
-    ``sum_{b<=M} C(log2 L, b)`` members.
-    """
-    if j < 1:
-        raise ValueError(f"step count must be >= 1, got {j}")
-    check_acc(y, L)
-    return {((y ^ m) + j) % L for m in hamming_ball(M, L)}
-
-
 class SlotStore:
     """Time-indexed container of live virtual slots for one receiver."""
 
@@ -101,22 +88,24 @@ class SlotStore:
     # -- mutation ---------------------------------------------------------
 
     def create_slots(self, pkt: PacketArrival, M: int, ref: int) -> int:
-        """Register step-1 slots for every candidate ACC of ``pkt``.
+        """Register one step-1 slot for every candidate base ACC of ``pkt``.
 
-        ``ref`` identifies the base packet in the slots' ``base_ref``.
-        Returns the number of slots created.
+        The candidates are ``pkt.acc ^ m`` for every mask ``m`` of at most
+        ``M`` bits.  ``ref`` identifies the base packet in the slots'
+        ``base_ref``.  Returns the number of slots created.
         """
-        cands = sorted(candidate_accs(pkt.acc, 1, M, self.params.L))
+        y, L = pkt.acc, self.params.L
+        # in order of expected ACC, which fixes the seq tie-break
+        masks = sorted(hamming_ball(M, L), key=lambda m: ((y ^ m) + 1) % L)
         peers = self._by_base.setdefault(ref, {})
-        for xi in cands:
-            base = acc_sub(xi, 1, self.params.L)
-            start, width = slot_bounds(base, 1, pkt.time, self.params)
+        for m in masks:
+            start, width = slot_bounds(y ^ m, 1, pkt.time, self.params)
             slot = VirtualSlot(
                 start=start,
                 width=width,
                 base_ref=ref,
-                b=hamming(pkt.acc, base),
-                xi=xi,
+                b=m.bit_count(),
+                xi=((y ^ m) + 1) % L,
                 step=1,
                 base=pkt,
                 seq=self._next_seq,
@@ -124,7 +113,7 @@ class SlotStore:
             self._next_seq += 1
             peers[slot.seq] = slot
             self._index(slot)
-        return len(cands)
+        return len(masks)
 
     def remove_base(self, base_ref: int) -> int:
         """Drop every live slot created by the given base packet."""
@@ -163,7 +152,7 @@ class SlotStore:
                 continue
             slot.xi = (slot.xi + 1) % self.params.L
             slot.step += 1
-            base = acc_sub(slot.xi, slot.step, self.params.L)
+            base = (slot.xi - slot.step) % self.params.L  # slot.xi was base + step
             slot.start, slot.width = slot_bounds(base, slot.step, slot.base.time, self.params)
             slot.saw_arrival = False
             # the next window starts after this one, so the slot lands at or

@@ -93,24 +93,10 @@ class ProtocolParams:
 
 
 def check_acc(x: int, L: int = 256) -> int:
-    """Validate that ``x`` is a legal ACC value and return it."""
-    if not 0 <= x < L:
+    """Validate that ``x`` is a legal ACC value, an int in 0..L-1, and return it."""
+    if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < L:
         raise ValueError(f"ACC value {x!r} outside 0..{L - 1}")
     return x
-
-
-def acc_add(x: int, j: int, L: int = 256) -> int:
-    """ACC ``j`` transmissions after ``x``: (x + j) mod L."""
-    if j < 0:
-        raise ValueError(f"step count must be nonnegative, got {j}")
-    return (check_acc(x, L) + j) % L
-
-
-def acc_sub(x: int, j: int, L: int = 256) -> int:
-    """ACC ``j`` transmissions before ``x``: (x - j) mod L."""
-    if j < 0:
-        raise ValueError(f"step count must be nonnegative, got {j}")
-    return (check_acc(x, L) - j) % L
 
 
 def jitter_index(x: int, params: ProtocolParams) -> int:

@@ -6,14 +6,15 @@ from hypothesis import strategies as st
 
 from accpair.analytic import (
     SaturationError,
-    allowed_combinations,
     max_distinguishable_meters,
     mean_qM,
     q0,
     qM,
     sigma,
 )
+from accpair.engine import PairingEngine
 from accpair.simulate import SimConfig, _false_detection_trial, _trial_rng
+from accpair.slots import PacketArrival
 from accpair.timing import (
     ProtocolParams,
     hamming,
@@ -79,19 +80,35 @@ class TestBuildTimebins:
             assert sum(sigma(y, 1, PARAMS).values()) == pytest.approx(expected, rel=1e-12)
 
 
+def pairing_accs(y, M, c):
+    """ACCs the engine pairs in mid-window of candidate base ``c`` of ``y``."""
+    start, width = slot_bounds(c, 1, 0.0, PARAMS)
+    accs = set()
+    for u in range(256):
+        engine = PairingEngine(PARAMS, M=M)
+        engine.on_arrival(PacketArrival(time=0.0, acc=y, erroneous=True))
+        if engine.on_arrival(PacketArrival(start + width / 2, u, False)).kind == "pair":
+            accs.add(u)
+    return accs
+
+
 class TestAllowedCombinations:
+    """sigma's allowed sets agree with the engine's pairing rule."""
+
     def test_full_budget_ball(self):
-        assert len(allowed_combinations(0x41, 0x40, 1)) == 9
+        # own window: slot 0x41 (b=0) admits its 1-bit ball; 0xC1 (b=1) is inside it
+        accs = pairing_accs(0x40, 1, 0x40)
+        assert accs == {0x41 ^ m for m in range(256) if m.bit_count() <= 1}
+        assert max(sigma(0x40, 1, PARAMS)) == len(accs) == 9
 
     def test_exhausted_budget_singleton(self):
-        assert allowed_combinations(0x42, 0x40, 1) == {0x42}
+        # slot 0x42 of base 0x41 spent the one tolerated bit error
+        assert pairing_accs(0x40, 1, 0x41) == {0x42}
+        assert 1 in sigma(0x40, 1, PARAMS)
 
     def test_zero_threshold(self):
-        assert allowed_combinations(0x38, 0x37, 0) == {0x38}
-
-    def test_rejects_non_candidate(self):
-        with pytest.raises(ValueError):
-            allowed_combinations(0x44, 0x40, 0)
+        assert pairing_accs(0x37, 0, 0x37) == {0x38}
+        assert set(sigma(0x37, 0, PARAMS)) == {1}
 
 
 class TestBinCombinationCount:
@@ -127,6 +144,11 @@ class TestQM:
 
     def test_decade_ratio(self):
         assert 10 <= mean_qM(1, 200, PARAMS) / mean_qM(0, 200, PARAMS) <= 40
+
+    def test_mean_bits_pinned(self):
+        # the same last bit on every interpreter: sum() of floats is
+        # compensated from Python 3.12 on, a += loop is not
+        assert repr(mean_qM(1, 200, PARAMS)) == "0.002302079545084635"
 
 
 class TestBruteForceOracle:
@@ -255,8 +277,11 @@ class TestMaxDistinguishableMeters:
         )
 
     def test_saturation_flagged(self):
-        with pytest.raises(SaturationError):
-            max_distinguishable_meters(1 - 1e-12, 0, PARAMS, n_cap=10**6)
+        # without clock tolerance or jitter every window is empty, so no
+        # meter count reaches the target
+        exact = ProtocolParams(nu_a=0, nu_b=0, gamma_a=0, gamma_b=0)
+        with pytest.raises(SaturationError, match="up to n=1099511627776"):
+            max_distinguishable_meters(0.001, 0, exact)
 
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError):

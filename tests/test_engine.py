@@ -192,6 +192,18 @@ class TestAccDomain:
         assert out.kind == "pair"
         assert out.base_ref == 0
 
+    @pytest.mark.parametrize("acc", [65.5, 65.0, True])
+    def test_non_integer_acc_leaves_engine_untouched(self, acc):
+        # 16.0 s after 0x40 lies inside the slot expecting 0x41
+        later = [pkt(16.0, 0x43), pkt(16.0, 0x41), pkt(40.0, 0x20, erroneous=True)]
+        engine, fresh = PairingEngine(PARAMS, M=1), PairingEngine(PARAMS, M=1)
+        engine.on_arrival(pkt(0.0, 0x40, erroneous=True))
+        fresh.on_arrival(pkt(0.0, 0x40, erroneous=True))
+        with pytest.raises(ValueError, match="ACC value"):
+            engine.on_arrival(pkt(16.0, acc))
+        assert [engine.on_arrival(p) for p in later] == [fresh.on_arrival(p) for p in later]
+        assert engine.live_slots == fresh.live_slots
+
 
 def test_replay_leaves_the_callers_packets_unchanged():
     cfg = SimConfig(n=5, M=1, epsilon=1 / 32, horizon=200.0, rng_seed=3)

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from accpair.engine import PairingEngine
-from accpair.slots import PacketArrival, SlotStore, candidate_accs
-from accpair.timing import ProtocolParams, acc_sub, hamming, hamming_ball, slot_bounds
+from accpair.slots import PacketArrival, SlotStore
+from accpair.timing import ProtocolParams, hamming, hamming_ball, slot_bounds
 
 PARAMS = ProtocolParams()
 
@@ -29,21 +29,31 @@ class TestPacketArrival:
         assert PacketArrival(time=0.0, acc=0x40, erroneous=False, meter_id="m").true_acc is None
 
 
+def expected_accs(y, M):
+    """Expected ACCs of the step-1 slots ``create_slots`` makes for ``y``."""
+    store = make_store()
+    assert store.create_slots(erroneous(0.0, y), M, ref=0) == len(store)
+    return [s.xi for s in store.iter_slots()]
+
+
 class TestCandidateAccs:
     def test_zero_threshold_unique_successor(self):
-        assert candidate_accs(0x40, 1, 0) == {0x41}
+        assert expected_accs(0x40, 0) == [0x41]
 
     def test_one_bit_budget_table(self):
-        assert candidate_accs(0x40, 1, 1) == TABLE_XIS
+        # created in order of expected ACC
+        assert expected_accs(0x40, 1) == sorted(TABLE_XIS)
 
     def test_full_ball(self):
-        assert candidate_accs(0x93, 1, 8) == set(range(256))
+        assert expected_accs(0x93, 8) == list(range(256))
 
-    @given(st.integers(0, 255), st.integers(1, 12), st.integers(0, 8))
-    @settings(max_examples=100)
-    def test_cardinality(self, y, j, m):
-        expected = sum(math.comb(8, b) for b in range(m + 1))
-        assert len(candidate_accs(y, j, m)) == expected
+    @given(st.integers(0, 255), st.integers(0, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_cardinality(self, y, m):
+        # a slot expecting xi admits H(y, xi - 1) <= m bit errors in y
+        brute = [xi for xi in range(256) if hamming(y, (xi - 1) % 256) <= m]
+        assert expected_accs(y, m) == brute
+        assert len(brute) == sum(math.comb(8, b) for b in range(m + 1))
         for L in (2, 16, 256):
             bits = L.bit_length() - 1
             if m <= bits:
@@ -55,8 +65,10 @@ class TestCandidateAccs:
                     hamming_ball(m, L)
 
     def test_rejects_bad_threshold(self):
-        with pytest.raises(ValueError):
-            candidate_accs(0x40, 1, 9)
+        store = make_store()
+        with pytest.raises(ValueError, match="0..8"):
+            store.create_slots(erroneous(0.0, 0x40), 9, ref=0)
+        assert len(store) == 0
 
 
 class TestCreateSlots:
@@ -74,10 +86,10 @@ class TestCreateSlots:
         slots = {s.xi: s for s in store.iter_slots()}
         assert set(slots) == TABLE_XIS
         for xi, slot in slots.items():
-            start, width = slot_bounds(acc_sub(xi, 1), 1, 5.0, PARAMS)
+            start, width = slot_bounds((xi - 1) % 256, 1, 5.0, PARAMS)
             assert slot.start == start
             assert slot.width == width
-            assert slot.b == hamming(0x40, acc_sub(xi, 1))
+            assert slot.b == hamming(0x40, (xi - 1) % 256)
 
     def test_shared_timebin_rows(self):
         # xi=0x41 and xi=0xC1 describe the same window at step 1
@@ -190,7 +202,7 @@ class TestAdvanceExpired:
         for k in range(rounds):
             store.advance_expired(20.0 * (k + 1))
         for slot in store.iter_slots():
-            base = acc_sub(slot.xi, slot.step)
+            base = (slot.xi - slot.step) % 256
             assert (slot.start, slot.width) == slot_bounds(base, slot.step, 0.0, PARAMS)
             assert slot.step <= store.timeout
 

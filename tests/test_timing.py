@@ -8,8 +8,6 @@ from accpair.engine import PairingEngine
 from accpair.simulate import SimConfig
 from accpair.timing import (
     ProtocolParams,
-    acc_add,
-    acc_sub,
     hamming,
     hamming_ball,
     jitter_index,
@@ -81,24 +79,6 @@ def test_threshold_must_be_an_integer():
             hamming_ball(M)
 
 
-class TestAccArithmetic:
-    def test_add_examples(self):
-        assert acc_add(0x40, 1) == 0x41
-        assert acc_add(0xFF, 1) == 0x00
-        assert acc_add(0x13, 0) == 0x13
-
-    def test_sub_wraps(self):
-        assert acc_sub(0x00, 1) == 0xFF
-
-    def test_rejects_negative_step(self):
-        with pytest.raises(ValueError):
-            acc_add(0x00, -1)
-
-    @given(accs, st.integers(0, 2**15), st.integers(0, 2**15))
-    def test_add_associative(self, x, a, b):
-        assert acc_add(acc_add(x, a), b) == acc_add(x, a + b)
-
-
 class TestJitterIndex:
     def test_examples(self):
         assert jitter_index(0x80, PARAMS) == 0
@@ -131,7 +111,7 @@ class TestNominalInterval:
 
     @given(accs, st.integers(0, 20))
     def test_prefix_sum(self, x, j):
-        nxt = acc_add(x, j)
+        nxt = (x + j) % 256
         expected = nominal_interval(x, j, PARAMS) + PARAMS.t + PARAMS.delta(
             jitter_index(nxt, PARAMS)
         )
