@@ -31,7 +31,7 @@ def q0(lam: float, sigma: float, L: int = 256) -> float:
     Probability that any Poisson arrival of rate ``lam`` during ``sigma``
     seconds carries the one problematic ACC out of ``L``.
     """
-    if lam < 0 or sigma < 0:
+    if not (lam >= 0 and sigma >= 0):  # NaN fails too
         raise ValueError("rate and duration must be nonnegative")
     return -math.expm1(-lam * sigma / L)
 
@@ -85,7 +85,7 @@ def _beta_weighted_duration(y: int, M: int, params: ProtocolParams) -> float:
 
 def qM(y: int, M: int, n: float, params: ProtocolParams) -> float:
     """False-detection probability for base ACC ``y`` with ``n`` meters."""
-    if n < 0:
+    if not n >= 0:  # NaN fails too
         raise ValueError(f"meter count must be nonnegative, got {n}")
     lam = n / params.t
     return -math.expm1(-lam / params.L * _beta_weighted_duration(y, M, params))

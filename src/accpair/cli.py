@@ -15,7 +15,7 @@ from typing import IO, List, Optional
 
 from .analytic import mean_qM, qM
 from .engine import ANALYSIS, DEPLOYMENT
-from .simulate import SimConfig, replay, simulate_false_detection, simulate_memory
+from .simulate import SimConfig, generate_trace, replay, simulate_false_detection, simulate_memory
 from .timing import ProtocolParams
 from .traceio import ConfigError, TraceFormatError, load_experiment_config, read_trace, write_trace
 
@@ -153,8 +153,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_gentrace(args: argparse.Namespace) -> int:
-    from .simulate import generate_trace
-
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg, cfg_out = load_experiment_config(fh)
     path = args.out if args.out is not None else cfg_out

@@ -127,17 +127,6 @@ def _flip_mask(rng: np.random.Generator, epsilon: float, L: int) -> int:
     return sum(1 << i for i, flip in enumerate(bits.tolist()) if flip)
 
 
-def _union(intervals: Sequence[Tuple[float, float]]) -> List[Tuple[float, float]]:
-    """Merge possibly overlapping half-open intervals."""
-    merged: List[List[float]] = []
-    for a, b in sorted(intervals):
-        if merged and a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
-    return [(a, b) for a, b in merged]
-
-
 # ---------------------------------------------------------------------------
 # trace generation and replay
 
@@ -243,7 +232,9 @@ def _false_detection_trial(cfg: SimConfig, base_true_acc: int, rng: np.random.Ge
     Poisson stream of rate n/t with uniform ACCs, sampled on the live slot
     windows (arrivals elsewhere cannot interact with the store).  The
     genuine next packets follow the true ACC path, subject to erasure and
-    ACC bit errors.
+    ACC bit errors.  ``ProtocolParams.max_timeout`` makes every step-j
+    window of the base close before any step-(j+1) window opens, so the
+    windows live at the start of pass j are exactly the step-j windows.
     """
     params = cfg.params
     lam = cfg.n / params.t
@@ -253,12 +244,12 @@ def _false_detection_trial(cfg: SimConfig, base_true_acc: int, rng: np.random.Ge
     engine.on_arrival(PacketArrival(time=0.0, acc=y, erroneous=True, meter_id="base"))
     base_jit = float(rng.uniform(-jit, jit)) if jit > 0 else 0.0
 
+    step = 0
     while engine.live_slots:
-        slots = engine.store.iter_slots()
-        step = slots[0].step  # slots from one base advance in lockstep
-        segments = _union([(s.start, s.end) for s in slots])
+        step += 1
+        segments = engine.store.windows()
         durations = np.array([b - a for a, b in segments])
-        counts = rng.poisson(lam * durations) if lam > 0 else np.zeros(len(segments), int)
+        counts = rng.poisson(lam * durations)
 
         events: List[Tuple[float, int, bool]] = []
         for (a, b), k in zip(segments, counts):
@@ -283,7 +274,7 @@ def _false_detection_trial(cfg: SimConfig, base_true_acc: int, rng: np.random.Ge
             )
             if out.kind == "pair":
                 return bool(out.is_false)
-        engine.store.advance_expired(max(b for _, b in segments))
+        engine.store.advance_expired(segments[-1][1])
     return False
 
 

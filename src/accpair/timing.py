@@ -38,9 +38,11 @@ class ProtocolParams:
 
     Construction also sets two attributes that are not fields (equality and
     hashing ignore them): ``intervals[x] = t + delta(jitter_index(x))``, the
-    interval after ACC ``x``, each of which must be positive; and
-    ``max_timeout``, the largest slot timeout at which a slot's consecutive
-    windows cannot overlap.
+    interval after ACC ``x``, each of which must be finite and positive;
+    and ``max_timeout``, the largest slot timeout with ``(timeout - 1) *
+    (max(I) * (1 + nu_b) - min(I) * (1 - nu_a)) < min(I) * (1 - nu_a) -
+    gamma_a - gamma_b`` (at least 1), so that every step-j window of a
+    base ends before any step-(j+1) window of it opens, for j < timeout.
     """
 
     L: int = 256
@@ -54,11 +56,12 @@ class ProtocolParams:
     def __post_init__(self) -> None:
         if self.L < 2 or self.L & (self.L - 1):
             raise ValueError(f"L must be a power of two, got {self.L}")
-        if self.t <= 0:
-            raise ValueError(f"t must be positive, got {self.t}")
+        if not 0 < self.t < math.inf:  # NaN fails this and the checks below
+            raise ValueError(f"t must be finite and positive, got {self.t}")
         for name in ("nu_a", "nu_b", "gamma_a", "gamma_b"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         if self.delta_map is not None:
             # normalize to a tuple so the instance stays hashable
             object.__setattr__(self, "delta_map", tuple(float(v) for v in self.delta_map))
@@ -69,18 +72,19 @@ class ProtocolParams:
                 )
         intervals = tuple(self.t + self.delta(jitter_index(x, self)) for x in range(self.L))
         object.__setattr__(self, "intervals", intervals)
-        if min(intervals) <= 0:
-            raise ValueError(f"delta_map makes an interval nonpositive ({min(intervals):g} s)")
+        bad = next((v for v in intervals if not 0 < v < math.inf), None)
+        if bad is not None:
+            raise ValueError(f"an interval t + delta is nonpositive or not finite ({bad:g} s)")
         # t must be the average interval: delta averaged over one full ACC
         # cycle has to vanish (within 1e-3 * t).
         mean = sum(intervals) / self.L - self.t
         if abs(mean) > 1e-3 * self.t:
             raise ValueError(f"delta_map is not zero-mean over an ACC cycle (mean {mean:g} s)")
-        # a slot's step-j and step-(j+1) windows are disjoint for all j < timeout
-        # iff (timeout-1) * max(I) * (nu_a+nu_b) + gamma_a + gamma_b < min(I) * (1-nu_a)
-        room = min(intervals) * (1 - self.nu_a) - (self.gamma_a + self.gamma_b)
-        spread = max(intervals) * (self.nu_a + self.nu_b)
-        max_timeout = 1 if room <= 0 else math.ceil(room / spread) if spread else math.inf
+        # a step-j window ends by j*hi + gamma_b and a step-(j+1) window
+        # starts from (j+1)*lo - gamma_a, whatever the candidate
+        lo, hi = min(intervals) * (1 - self.nu_a), max(intervals) * (1 + self.nu_b)
+        room, spread = lo - (self.gamma_a + self.gamma_b), hi - lo
+        max_timeout = 1 if room <= 0 else max(1, math.ceil(room / spread)) if spread else math.inf
         object.__setattr__(self, "max_timeout", max_timeout)
 
     def delta(self, s: int) -> float:

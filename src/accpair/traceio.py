@@ -20,6 +20,7 @@ import math
 from dataclasses import fields as dataclass_fields
 from typing import IO, Iterable, List, Optional, Tuple
 
+from .simulate import SimConfig
 from .slots import PacketArrival
 from .timing import ProtocolParams
 
@@ -129,8 +130,6 @@ def load_experiment_config(inp: IO[str]):
     Returns ``(config, out_path)`` where ``out_path`` is the optional
     "out" entry of the document.
     """
-    from .simulate import SimConfig  # local import to avoid a cycle
-
     try:
         doc = json.load(inp)
     except json.JSONDecodeError as exc:

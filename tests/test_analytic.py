@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,12 @@ from accpair.analytic import (
     sigma,
 )
 from accpair.engine import PairingEngine
-from accpair.simulate import SimConfig, _false_detection_trial, _trial_rng
+from accpair.simulate import (
+    SimConfig,
+    _false_detection_trial,
+    _trial_rng,
+    simulate_false_detection,
+)
 from accpair.slots import PacketArrival
 from accpair.timing import (
     ProtocolParams,
@@ -42,8 +48,9 @@ class TestQ0:
         assert q0(200 / 16, 2.48e-3) == pytest.approx(1.211e-4, rel=1e-3)
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            q0(-1.0, 1.0)
+        for lam, duration in ((-1.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(ValueError):
+                q0(lam, duration)
 
 
 def widths(*bases):
@@ -135,6 +142,11 @@ class TestQM:
 
     def test_no_meters(self):
         assert qM(0x40, 1, 0, PARAMS) == 0.0
+
+    def test_rejects_negative_meter_count(self):
+        for n in (-1, math.nan):
+            with pytest.raises(ValueError, match="meter count"):
+                qM(0x40, 1, n, PARAMS)
 
     def test_monotone_in_meters_and_threshold(self):
         values = [qM(0x40, 1, n, PARAMS) for n in (0, 50, 200, 800)]
@@ -243,6 +255,42 @@ class TestReversedDeltaMap:
             _false_detection_trial(cfg, y, _trial_rng(7000 + y, i)) for i in range(trials)
         )
         expected = qM(y, 1, n, params)
+        se = math.sqrt(expected * (1 - expected) / trials)
+        assert abs(hits / trials - expected) <= 3 * se, (hits / trials, expected)
+
+
+#: Candidate 0x0 of base 0x8 has 0.1 s intervals, so without a bound on the
+#: timeout its step-2 window would open at 0.198 s, long before the genuine
+#: packet arrives at 1.9 s; sigma models step-1 windows only.
+REPRO = ProtocolParams(L=16, t=1.0, delta_map=(0.9,) + (0.15,) * 6 + (-0.9, -0.9))
+
+
+class TestLateStepWindows:
+    def test_timeout_two_rejected(self):
+        for timeout in (2, 10):
+            cfg = SimConfig(params=REPRO, n=40, M=1, trials=1, timeout=timeout)
+            with pytest.raises(ValueError, match=f"timeout {timeout} exceeds 1"):
+                simulate_false_detection(cfg)
+
+    def test_full_stream_engine_monte_carlo_agrees(self):
+        # Poisson interferers over the whole span up to the genuine arrival,
+        # which pairs with its own window unless a false pairing came first
+        y, n, trials = 0x8, 40, 5000
+        genuine = nominal_interval(y, 1, REPRO)
+        rng = np.random.default_rng(11)
+        hits = 0
+        for _ in range(trials):
+            engine = PairingEngine(REPRO, M=1, timeout=REPRO.max_timeout)
+            engine.on_arrival(PacketArrival(0.0, y, True, meter_id="base"))
+            k = rng.poisson(n / REPRO.t * genuine)
+            stream = sorted(zip(rng.uniform(0.0, genuine, k).tolist(),
+                                rng.integers(0, REPRO.L, k).tolist(), ["bg"] * k))
+            for time, acc, meter in stream + [(genuine, (y + 1) % REPRO.L, "base")]:
+                out = engine.on_arrival(PacketArrival(time, acc, False, meter_id=meter))
+                if out.kind == "pair":
+                    hits += out.is_false
+                    break
+        expected = qM(y, 1, n, REPRO)
         se = math.sqrt(expected * (1 - expected) / trials)
         assert abs(hits / trials - expected) <= 3 * se, (hits / trials, expected)
 

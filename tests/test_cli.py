@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -177,6 +178,12 @@ class TestGentrace:
         cfg = self.write_config(tmp_path, n=1, horizon=40.0, wat=1)
         code, _ = run(tmp_path, "gentrace", "--config", str(cfg))
         assert code == EXIT_PARSE
+
+    def test_infinite_param_is_parse_error(self, tmp_path):
+        cfg = self.write_config(tmp_path, n=1, horizon=40.0, params={"nu_b": math.inf})
+        assert "Infinity" in cfg.read_text()
+        code, text = run(tmp_path, "gentrace", "--config", str(cfg))
+        assert (code, text) == (EXIT_PARSE, None)
 
     def test_config_directory_is_parse_error(self, tmp_path):
         code, _ = run(tmp_path, "gentrace", "--config", str(tmp_path))

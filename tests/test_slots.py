@@ -123,6 +123,55 @@ class TestSlotsContaining:
         assert store.slots_containing(slot.start) != []
         assert store.slots_containing(slot.end) == []
 
+    def test_ended_windows_excluded_without_advance(self):
+        # at the own window's start the six earlier windows of base 0x40
+        # have ended, and no advance_expired has dropped them
+        store = make_store()
+        store.create_slots(erroneous(0.0, 0x40), 1, ref=0)
+        own = next(s for s in store.iter_slots() if s.xi == 0x41)
+        assert {s.xi for s in store.slots_containing(own.start)} == {0x41, 0xC1}
+        assert store.slots_containing(own.end + 1.0) == []
+
+
+def merged(intervals):
+    """Union of half-open intervals by sorting and merging touching ones."""
+    out = []
+    for a, b in sorted(intervals):
+        if out and a <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], b))
+        else:
+            out.append((a, b))
+    return out
+
+
+class TestWindows:
+    def test_shared_window_merges(self):
+        # 0x40 and 0xC0 have the same jitter index, so slots 0x41 and 0xC1
+        # share one window; the other seven windows are apart
+        store = make_store()
+        store.create_slots(erroneous(0.0, 0x40), 1, ref=0)
+        own = next(s for s in store.iter_slots() if s.xi == 0x41)
+        assert len(store) == 9
+        assert len(store.windows()) == 8
+        assert (own.start, own.end) in store.windows()
+
+    def test_empty_store(self):
+        assert make_store().windows() == []
+
+    @given(st.integers(0, 255), st.integers(0, 2), st.integers(0, 6),
+           st.sampled_from([PARAMS, ProtocolParams(gamma_a=0.02, gamma_b=0.02),
+                            ProtocolParams(nu_a=1e-3, nu_b=1e-3)]))
+    @settings(max_examples=60, deadline=None)
+    def test_disjoint_ordered_union_of_slot_windows(self, y, M, rounds, params):
+        store = SlotStore(params, timeout=10)
+        store.create_slots(erroneous(0.0, y), M, ref=0)
+        store.create_slots(erroneous(8.0, y ^ 0x11), M, ref=1)
+        store.advance_expired(16.0 * rounds)
+        pairs = store.windows()
+        for (_, end), (start, _) in zip(pairs, pairs[1:]):
+            assert end < start
+        assert pairs == merged((s.start, s.end) for s in store.iter_slots())
+
 
 
 class TestAdvanceExpired:
@@ -183,9 +232,9 @@ class TestAdvanceExpired:
         PairingEngine(params, timeout=1)
         with pytest.raises(ValueError, match="timeout 2 exceeds 1"):
             PairingEngine(params, timeout=2)
-        make_store(timeout=6709)
-        with pytest.raises(ValueError, match="exceeds 6709"):
-            make_store(timeout=6710)
+        make_store(timeout=16)
+        with pytest.raises(ValueError, match="exceeds 16"):
+            make_store(timeout=17)
 
     @pytest.mark.parametrize("timeout", [0, -1, 2.5, True])
     def test_timeout_must_be_a_positive_integer(self, timeout):
@@ -197,7 +246,7 @@ class TestAdvanceExpired:
     @given(st.integers(0, 255), st.integers(1, 8))
     @settings(max_examples=50, deadline=None)
     def test_bounds_invariant_after_advances(self, y, rounds):
-        store = make_store(timeout=20)
+        store = make_store(timeout=16)
         store.create_slots(erroneous(0.0, y), 1, ref=0)
         for k in range(rounds):
             store.advance_expired(20.0 * (k + 1))

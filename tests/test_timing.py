@@ -38,8 +38,15 @@ class TestProtocolParams:
             ProtocolParams(L=100)
 
     def test_rejects_negative_tolerance(self):
-        with pytest.raises(ValueError):
-            ProtocolParams(nu_a=-1e-6)
+        for name in ("nu_a", "nu_b", "gamma_a", "gamma_b"):
+            for value in (-1e-6, math.inf, math.nan):
+                with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
+                    ProtocolParams(**{name: value})
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_mean_interval(self, t):
+        with pytest.raises(ValueError, match="t must be finite and positive"):
+            ProtocolParams(t=t)
 
     def test_rejects_biased_delta_map(self):
         with pytest.raises(ValueError, match="zero-mean"):
@@ -49,6 +56,9 @@ class TestProtocolParams:
         # intervals alternate 2.5 s and -0.5 s
         with pytest.raises(ValueError, match="nonpositive"):
             ProtocolParams(L=2, t=1.0, delta_map=(-1.5, 1.5))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="not finite"):
+                ProtocolParams(L=2, t=1.0, delta_map=(bad, 0.0))
 
     @pytest.mark.parametrize("params", [
         PARAMS,
@@ -67,6 +77,46 @@ class TestProtocolParams:
     def test_delta_map_length_checked(self):
         with pytest.raises(ValueError, match="cover jitter"):
             ProtocolParams(delta_map=[0.0] * 10)
+
+
+#: Candidate 0x0 has 0.1 s intervals, so a step-2 window of it would open
+#: at 0.198 s, long before the step-1 windows of base 0x8 close near 1.9 s;
+#: only timeout 1 orders the steps.
+REPRO = ProtocolParams(L=16, t=1.0, delta_map=(0.9,) + (0.15,) * 6 + (-0.9, -0.9))
+
+
+def assert_windows_close_step_by_step(params):
+    """Every step-j window ends before any step-(j+1) window opens, j < max_timeout.
+
+    The full Hamming ball of any base is every ACC, so the check runs over
+    all candidates at once; the cap of 20 steps keeps it fast.
+    """
+    for j in range(1, min(params.max_timeout, 20)):
+        last_end = max(sum(slot_bounds(c, j, 0.0, params)) for c in range(params.L))
+        first_start = min(slot_bounds(c, j + 1, 0.0, params)[0] for c in range(params.L))
+        assert last_end <= first_start, j
+
+
+class TestMaxTimeout:
+    @pytest.mark.parametrize("params", [
+        PARAMS,
+        ProtocolParams(delta_map=tuple(-16.0 * (s - 64) / 2048.0 for s in range(129))),
+        ProtocolParams(gamma_a=0.02, gamma_b=0.02),
+        ProtocolParams(nu_a=1e-3, nu_b=1e-3),
+        REPRO,
+    ], ids=["default", "reversed", "gamma", "nu", "repro"])
+    def test_windows_close_step_by_step(self, params):
+        assert_windows_close_step_by_step(params)
+
+    @given(L=st.sampled_from([4, 8, 16, 32, 64]), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_windows_close_step_by_step_on_random_tables(self, L, data):
+        raw = data.draw(st.lists(st.floats(-0.4, 0.4), min_size=L // 2 + 1, max_size=L // 2 + 1))
+        # jitter indices 0 and L/2 each select one ACC's interval, the others two
+        mean = (sum(raw) + sum(raw[1:-1])) / L
+        params = ProtocolParams(L=L, t=1.0, delta_map=tuple(v - mean for v in raw))
+        assert params.max_timeout >= 1
+        assert_windows_close_step_by_step(params)
 
 
 def test_threshold_must_be_an_integer():
