@@ -115,7 +115,6 @@ class PairingEngine:
         best: Optional[VirtualSlot] = None
         best_key = None
         for slot in candidates:
-            slot.saw_arrival = True
             d = pair_distance(slot, pkt.acc)
             if d > self.M:
                 continue

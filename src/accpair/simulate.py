@@ -44,6 +44,9 @@ class SimConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("epsilon", "p", "horizon", "emission_jitter", "body_error_prob"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be nonnegative, got {self.rng_seed}")
         if not 0.0 <= self.epsilon <= 1.0:
@@ -72,7 +75,9 @@ class SimConfig:
     def effective_body_error_prob(self) -> float:
         if self.body_error_prob is not None:
             return self.body_error_prob
-        return -np.expm1(BODY_BITS * np.log1p(-self.epsilon)) if self.epsilon > 0 else 0.0
+        if not 0 < self.epsilon < 1:  # log1p(-1) warns; 1 - (1 - eps)**BODY_BITS is eps
+            return float(self.epsilon)
+        return -np.expm1(BODY_BITS * np.log1p(-self.epsilon))
 
 
 @dataclass

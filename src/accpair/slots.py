@@ -1,16 +1,32 @@
 """Virtual-slot storage: creation, time-indexed lookup, advancement, expiry.
 
 A virtual slot predicts a future reception window for the next packet from
-the meter that sent some erroneous base packet.  The store keeps its live
-slots in one list sorted by window start.  A window that has ended has also
-started, so both containment queries and expiry sweeps read a prefix found
-by binary search.  A store instance is single-writer.
+the meter that sent some erroneous base packet, under one hypothesis about
+the base's true ACC.  The store keeps one record per base packet: its live
+candidate slots, all at the same step, and the envelope ``[start, end)``
+that spans their windows.  One list sorted by envelope start indexes the
+records, so containment queries and expiry sweeps read a prefix found by
+binary search.
+
+``ProtocolParams.max_timeout`` bounds the timeout so that every step-j
+window of a base closes before any of its step-(j+1) windows opens.  A
+candidate whose window has ended can therefore wait for its base's
+envelope to end before moving to the next step: until then its next
+window cannot hold an arrival, and its own ended window holds none either.
+So a record is touched only once its envelope has ended, and then advanced
+as a whole.  Candidates that leave instead of advancing, because their
+window held an arrival or because they are at the final step, must leave
+at their own window end for ``len(store)`` to stay exact; a small heap of
+``(end, seq, slot)`` holds just those.  A store instance is single-writer.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+import math
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from functools import lru_cache
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
 from .timing import ProtocolParams, hamming_ball, slot_bounds
@@ -60,6 +76,26 @@ class VirtualSlot:
         return self.start + self.width
 
 
+@lru_cache(maxsize=None)
+def _candidates(y: int, M: int, L: int) -> Tuple[Tuple[int, int, int], ...]:
+    """``(base ACC, bit errors, expected ACC)`` of every candidate for ``y``.
+
+    Ordered by expected ACC, which fixes the ``seq`` tie-break.  The cache
+    holds at most ``L * (log2(L) + 1)`` layouts per ``L``.
+    """
+    masks = sorted(hamming_ball(M, L), key=lambda m: ((y ^ m) + 1) % L)
+    return tuple((y ^ m, m.bit_count(), ((y ^ m) + 1) % L) for m in masks)
+
+
+@dataclass(slots=True, eq=False)
+class _Base:
+    """The live candidate slots of one base packet, all at one step."""
+
+    slots: List[VirtualSlot]
+    start: float  # envelope [start, end) of their windows
+    end: float
+
+
 class SlotStore:
     """Time-indexed container of live virtual slots for one receiver."""
 
@@ -71,18 +107,22 @@ class SlotStore:
                              "at which one base's windows close step by step")
         self.params = params
         self.timeout = timeout
-        # (start, seq, slot) sorted by start; seq is unique, so no comparison
-        # ever reaches the slot itself
-        self._by_start: List[Tuple[float, int, VirtualSlot]] = []
-        self._by_base: Dict[int, Dict[int, VirtualSlot]] = {}  # base_ref -> seq -> slot
+        # (envelope start, ref, record) sorted by start; a live ref is unique,
+        # so no comparison ever reaches the record itself
+        self._by_start: List[Tuple[float, int, _Base]] = []
+        self._by_base: Dict[int, _Base] = {}
+        # (end, seq, slot) of candidates that leave at their own window end
+        self._leaving: List[Tuple[float, int, VirtualSlot]] = []
+        self._live = 0
         self._next_seq = 0
 
     def __len__(self) -> int:
-        return len(self._by_start)
+        return self._live
 
     def iter_slots(self) -> List[VirtualSlot]:
         """Snapshot of live slots in creation order."""
-        return sorted((slot for _, _, slot in self._by_start), key=lambda s: s.seq)
+        return sorted((slot for rec in self._by_base.values() for slot in rec.slots),
+                      key=lambda s: s.seq)
 
     # -- mutation ---------------------------------------------------------
 
@@ -91,106 +131,151 @@ class SlotStore:
 
         The candidates are ``pkt.acc ^ m`` for every mask ``m`` of at most
         ``M`` bits.  ``ref`` identifies the base packet in the slots'
-        ``base_ref``.  Returns the number of slots created.
+        ``base_ref`` and must not name a live base.  Returns the number of
+        slots created.
         """
-        y, L = pkt.acc, self.params.L
-        # in order of expected ACC, which fixes the seq tie-break
-        masks = sorted(hamming_ball(M, L), key=lambda m: ((y ^ m) + 1) % L)
-        peers = self._by_base.setdefault(ref, {})
-        for m in masks:
-            start, width = slot_bounds(y ^ m, 1, pkt.time, self.params)
-            slot = VirtualSlot(
-                start=start,
-                width=width,
-                base_ref=ref,
-                b=m.bit_count(),
-                xi=((y ^ m) + 1) % L,
-                step=1,
-                base=pkt,
-                seq=self._next_seq,
-            )
-            self._next_seq += 1
-            peers[slot.seq] = slot
-            self._index(slot)
-        return len(masks)
+        if ref in self._by_base:
+            raise ValueError(f"base ref {ref} already has live slots")
+        time, params = pkt.time, self.params
+        seq = self._next_seq
+        slots = []
+        lo, hi = math.inf, -math.inf
+        for x, b, xi in _candidates(pkt.acc, M, params.L):
+            start, width = slot_bounds(x, 1, time, params)
+            slots.append(VirtualSlot(start, width, ref, b, xi, 1, pkt, seq))
+            seq += 1
+            if start < lo:
+                lo = start
+            if start + width > hi:
+                hi = start + width
+        self._next_seq = seq
+        if self.timeout == 1:
+            for slot in slots:
+                heappush(self._leaving, (slot.end, slot.seq, slot))
+        rec = self._by_base[ref] = _Base(slots, lo, hi)
+        insort(self._by_start, (lo, ref, rec))
+        self._live += len(slots)
+        return len(slots)
 
     def remove_base(self, base_ref: int) -> int:
         """Drop every live slot created by the given base packet."""
-        peers = self._by_base.pop(base_ref, {})
-        for slot in peers.values():
-            self._unindex(slot)
-        return len(peers)
+        rec = self._by_base.pop(base_ref, None)
+        if rec is None:
+            return 0
+        self._unindex(base_ref, rec)
+        self._live -= len(rec.slots)
+        return len(rec.slots)
 
     def advance_expired(self, now: float) -> Tuple[int, int]:
         """Advance or drop every slot whose window has fully passed.
 
-        Only the prefix of the start index with ``start <= now`` can hold
-        such a slot.  A slot whose window contained an arrival is dropped;
-        any other moves to the next step (expected ACC and bounds recomputed
-        from its base packet) and is dropped once the step count exceeds
-        the timeout.  A moved slot is re-indexed by its new start, so one
-        call catches it up through every window that ended by ``now``.
-        Returns ``(advanced, expired)`` counts.
+        A base's record is swept once its envelope has ended by ``now``:
+        a slot whose window contained an arrival is dropped, any other
+        moves to the next step (expected ACC and bounds recomputed from its
+        base packet) and is dropped once the step count exceeds the
+        timeout.  Slots that leave at their own window end go after the
+        sweep.  Only the prefix of the index with ``start <= now`` can hold
+        an ended record, and a moved record is re-indexed by its new start,
+        so one call catches it up through every window that ended by
+        ``now``.  Returns ``(advanced, expired)`` counts.
         """
         advanced = 0
         expired = 0
         by_start = self._by_start
+        timeout, L, params = self.timeout, self.params.L, self.params
         i = 0
         while i < len(by_start) and by_start[i][0] <= now:
-            slot = by_start[i][2]
-            if slot.end > now:
+            _, ref, rec = by_start[i]
+            if rec.end > now:
                 i += 1
                 continue
             del by_start[i]
-            if slot.saw_arrival or slot.step + 1 > self.timeout:
-                peers = self._by_base[slot.base_ref]
-                del peers[slot.seq]
-                if not peers:
-                    del self._by_base[slot.base_ref]
-                expired += 1
+            slots = rec.slots
+            step = slots[0].step + 1
+            kept = [slot for slot in slots if not slot.saw_arrival] if step <= timeout else []
+            lo, hi = math.inf, -math.inf
+            for slot in kept:
+                xi = slot.xi = (slot.xi + 1) % L
+                slot.step = step
+                # xi is the base ACC plus step
+                start, width = slot_bounds((xi - step) % L, step, slot.base.time, params)
+                slot.start = start
+                slot.width = width
+                if step == timeout:
+                    heappush(self._leaving, (start + width, slot.seq, slot))
+                if start < lo:
+                    lo = start
+                if start + width > hi:
+                    hi = start + width
+            expired += len(slots) - len(kept)
+            advanced += len(kept)
+            if not kept:
+                del self._by_base[ref]
                 continue
-            slot.xi = (slot.xi + 1) % self.params.L
-            slot.step += 1
-            base = (slot.xi - slot.step) % self.params.L  # slot.xi was base + step
-            slot.start, slot.width = slot_bounds(base, slot.step, slot.base.time, self.params)
-            slot.saw_arrival = False
-            # the next window starts after this one, so the slot lands at or
-            # after position i and is met again if it is still due
-            self._index(slot)
-            advanced += 1
+            rec.slots, rec.start, rec.end = kept, lo, hi
+            # the next envelope starts after this one ended, so the record
+            # lands at or after position i and is met again if it is due
+            insort(by_start, (lo, ref, rec), i)
+        leaving = self._leaving
+        while leaving and leaving[0][0] <= now:
+            slot = heappop(leaving)[2]
+            rec = self._by_base.get(slot.base_ref)
+            # gone already if its base paired or the sweep dropped it; found
+            # by identity, since equal dataclasses need not be the same slot
+            slots = rec.slots if rec is not None else ()
+            k = next((k for k, s in enumerate(slots) if s is slot), None)
+            if k is None:
+                continue
+            del rec.slots[k]
+            expired += 1
+            if not rec.slots:
+                del self._by_base[slot.base_ref]
+                self._unindex(slot.base_ref, rec)
+        self._live -= expired
         return advanced, expired
 
     # -- lookup -----------------------------------------------------------
 
     def slots_containing(self, time: float) -> List[VirtualSlot]:
-        """Live slots whose half-open window [start, start+width) holds ``time``."""
-        hits: List[VirtualSlot] = []  # a while loop is the fastest scan on Python 3.11
-        i, hi = 0, bisect_right(self._by_start, (time, float("inf")))
-        while i < hi:
-            slot = self._by_start[i][2]
-            if time < slot.end:  # after advance_expired(time), always true
-                hits.append(slot)
+        """Live slots whose half-open window [start, start+width) holds ``time``.
+
+        Marks each one ``saw_arrival``: once its window ends it is dropped
+        instead of advanced.
+        """
+        hits: List[VirtualSlot] = []
+        by_start = self._by_start
+        i, hi = 0, bisect_right(by_start, (time, math.inf))
+        while i < hi:  # a while loop is the fastest scan on Python 3.11
+            for slot in by_start[i][2].slots:
+                start = slot.start
+                if start <= time < start + slot.width:  # slot.end, inlined
+                    hits.append(slot)
+                    if not slot.saw_arrival:
+                        slot.saw_arrival = True
+                        if slot.step < self.timeout:
+                            heappush(self._leaving, (slot.end, slot.seq, slot))
             i += 1
         return hits
 
     def windows(self) -> List[Tuple[float, float]]:
-        """Live windows, merged where they overlap or touch, as (start, end) in time order."""
+        """Live windows, merged where they overlap or touch, as (start, end) in time order.
+
+        A slot whose window has ended keeps it here until its base's
+        envelope ends, when ``advance_expired`` moves it on.
+        """
         merged: List[Tuple[float, float]] = []
-        for start, _, slot in self._by_start:
+        for start, end in sorted((s.start, s.end) for rec in self._by_base.values()
+                                 for s in rec.slots):
             if merged and start <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], slot.end))
+                merged[-1] = (merged[-1][0], max(merged[-1][1], end))
             else:
-                merged.append((start, slot.end))
+                merged.append((start, end))
         return merged
 
     # -- internals --------------------------------------------------------
 
-    def _index(self, slot: VirtualSlot) -> None:
-        entry = (slot.start, slot.seq, slot)
-        self._by_start.insert(bisect_right(self._by_start, entry), entry)
-
-    def _unindex(self, slot: VirtualSlot) -> None:
-        # (start, seq) sorts just before its own (start, seq, slot) entry
-        i = bisect_left(self._by_start, (slot.start, slot.seq))
-        assert self._by_start[i][2] is slot
+    def _unindex(self, ref: int, rec: _Base) -> None:
+        # (start, ref) sorts just before its own (start, ref, rec) entry
+        i = bisect_left(self._by_start, (rec.start, ref))
+        assert self._by_start[i][2] is rec
         del self._by_start[i]

@@ -36,13 +36,15 @@ class ProtocolParams:
             length ``L//2 + 1``; ``None`` selects the built-in zero-mean,
             monotone offset formula.
 
-    Construction also sets two attributes that are not fields (equality and
-    hashing ignore them): ``intervals[x] = t + delta(jitter_index(x))``, the
-    interval after ACC ``x``, each of which must be finite and positive;
-    and ``max_timeout``, the largest slot timeout with ``(timeout - 1) *
+    Construction also sets three attributes that are not fields (equality,
+    hashing and ``repr`` ignore them): ``intervals[x] = t + delta(jitter_index(x))``,
+    the interval after ACC ``x``, each of which must be finite and positive;
+    ``max_timeout``, the largest slot timeout with ``(timeout - 1) *
     (max(I) * (1 + nu_b) - min(I) * (1 - nu_a)) < min(I) * (1 - nu_a) -
     gamma_a - gamma_b`` (at least 1), so that every step-j window of a
-    base ends before any step-(j+1) window of it opens, for j < timeout.
+    base ends before any step-(j+1) window of it opens, for j < timeout;
+    and ``window_table``, a dict ``(x, j) -> (tnom, theta, tau)`` that the
+    slot geometry functions fill on first use of each window.
     """
 
     L: int = 256
@@ -56,11 +58,12 @@ class ProtocolParams:
     def __post_init__(self) -> None:
         if self.L < 2 or self.L & (self.L - 1):
             raise ValueError(f"L must be a power of two, got {self.L}")
-        if not 0 < self.t < math.inf:  # NaN fails this and the checks below
+        # NaN fails these range checks; a bool is not taken for a number
+        if isinstance(self.t, bool) or not 0 < self.t < math.inf:
             raise ValueError(f"t must be finite and positive, got {self.t}")
         for name in ("nu_a", "nu_b", "gamma_a", "gamma_b"):
             value = getattr(self, name)
-            if not 0 <= value < math.inf:
+            if isinstance(value, bool) or not 0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         if self.delta_map is not None:
             # normalize to a tuple so the instance stays hashable
@@ -86,6 +89,7 @@ class ProtocolParams:
         room, spread = lo - (self.gamma_a + self.gamma_b), hi - lo
         max_timeout = 1 if room <= 0 else max(1, math.ceil(room / spread)) if spread else math.inf
         object.__setattr__(self, "max_timeout", max_timeout)
+        object.__setattr__(self, "window_table", {})
 
     def delta(self, s: int) -> float:
         """Jitter offset in seconds for jitter index ``s``."""
@@ -155,14 +159,28 @@ def _window(x: int, j: int, params: ProtocolParams) -> Tuple[float, float, float
     return tnom, theta, tau
 
 
+def _table_window(x: int, j: int, params: ProtocolParams) -> Tuple[float, float, float]:
+    """``_window(x, j, params)`` read from ``params.window_table``.
+
+    Only plain int arguments may hit: ``True``, ``1.0`` or a numpy integer
+    equal to a cached key takes the miss path, whose checks reject it as
+    they would without the table.
+    """
+    table = params.window_table
+    window = table.get((x, j)) if type(x) is int and type(j) is int else None
+    if window is None:
+        window = table[x, j] = _window(x, j, params)
+    return window
+
+
 def lead_time(x: int, j: int, params: ProtocolParams) -> float:
     """Lead of the slot start before the nominal arrival (theta)."""
-    return _window(x, j, params)[1]
+    return _table_window(x, j, params)[1]
 
 
 def slot_width(x: int, j: int, params: ProtocolParams) -> float:
     """Width of the reception slot for step ``j`` from base ACC ``x`` (tau)."""
-    return _window(x, j, params)[2]
+    return _table_window(x, j, params)[2]
 
 
 def slot_bounds(x: int, j: int, t_base: float, params: ProtocolParams) -> Tuple[float, float]:
@@ -175,5 +193,7 @@ def slot_bounds(x: int, j: int, t_base: float, params: ProtocolParams) -> Tuple[
     """
     if j < 1:
         raise ValueError(f"slot step must be >= 1, got {j}")
-    tnom, theta, tau = _window(x, j, params)
+    # the hit path of _table_window, inlined: this is the engine's hot call
+    window = params.window_table.get((x, j)) if type(x) is int and type(j) is int else None
+    tnom, theta, tau = window or _table_window(x, j, params)
     return t_base + tnom - theta, tau

@@ -185,6 +185,13 @@ class TestGentrace:
         code, text = run(tmp_path, "gentrace", "--config", str(cfg))
         assert (code, text) == (EXIT_PARSE, None)
 
+    def test_boolean_number_is_parse_error(self, tmp_path):
+        params = {"t": True, "nu_a": False}
+        for doc in ({"epsilon": True, "params": params}, {"epsilon": True}, {"params": params}):
+            cfg = self.write_config(tmp_path, n=2, horizon=40.0, **doc)
+            code, text = run(tmp_path, "gentrace", "--config", str(cfg))
+            assert (code, text) == (EXIT_PARSE, None)
+
     def test_config_directory_is_parse_error(self, tmp_path):
         code, _ = run(tmp_path, "gentrace", "--config", str(tmp_path))
         assert code == EXIT_PARSE

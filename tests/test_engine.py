@@ -1,10 +1,11 @@
 import copy
+import hashlib
 import math
 
 import pytest
 
 from accpair.engine import ANALYSIS, DEPLOYMENT, PairingEngine, classify, pair_distance
-from accpair.simulate import SimConfig, generate_trace, replay
+from accpair.simulate import SimConfig, generate_trace, replay, simulate_memory
 from accpair.slots import PacketArrival, TraceOrderError, VirtualSlot
 from accpair.timing import ProtocolParams, nominal_interval
 
@@ -214,3 +215,43 @@ def test_replay_leaves_the_callers_packets_unchanged():
     assert first.total_pairings > 0
     assert first == second
     assert trace == before
+
+
+#: SHA-256 of the per-arrival ``repr((kind, base_ref, step, distance,
+#: live_slots))`` on the noisy trace below, recorded before the slot store
+#: kept one record per base packet.
+DECISION_DIGESTS = {
+    (0, ANALYSIS): "49b7e047943c4c99aa17aaa694115560307821c83cbd49119e134bdf072f36e5",
+    (0, DEPLOYMENT): "f64342f58da34aebf5528bf8b44466936e804fcac79929496b719b0b700b3e83",
+    (1, ANALYSIS): "3d2901eaec95097c78ad34dc6e585606506fdb404c75914aa0d5a54e3223818a",
+    (1, DEPLOYMENT): "8d137d1adb2c780e2f292d0a0a4271e4dd38eee713f88e01d277fdf594217d37",
+    (2, ANALYSIS): "cb21899b07e720581893f88b70dbaa81ab3f9b46d94ae9f64ac96ca55f68e461",
+    (2, DEPLOYMENT): "2c6a704cc7c65462a73f45264a2be74d1588139260bdeb97b27e56d1bb3b84b3",
+}
+
+
+@pytest.fixture(scope="module")
+def noisy_trace():
+    # the replay-noisy-m1 benchmark trace at seed 0: 3,759 arrivals, nearly
+    # all failing CRC, so most bases advance through several steps
+    return generate_trace(SimConfig(n=200, epsilon=1 / 32, horizon=300.0, rng_seed=0))
+
+
+@pytest.mark.parametrize("M, policy", sorted(DECISION_DIGESTS))
+def test_decisions_match_recorded_digest(noisy_trace, M, policy):
+    engine = PairingEngine(PARAMS, M=M, policy=policy, timeout=10)
+    digest = hashlib.sha256()
+    for arrival in noisy_trace:
+        out = engine.on_arrival(arrival)
+        decision = (out.kind, out.base_ref, out.step, out.distance, engine.live_slots)
+        digest.update(repr(decision).encode())
+    assert digest.hexdigest() == DECISION_DIGESTS[M, policy]
+
+
+def test_memory_matches_recorded_value():
+    report = simulate_memory(
+        SimConfig(n=20, M=1, epsilon=2 / 32, trials=3, horizon=200.0, rng_seed=3)
+    )
+    assert (report.memory_per_meter, report.memory_std_error) == (
+        27.616666666666664, 0.7822687801800888
+    )

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from accpair.engine import DEPLOYMENT
@@ -31,6 +33,11 @@ class TestSimConfig:
         assert cfg.effective_body_error_prob == pytest.approx(1 - (1 - 1 / 32) ** 232)
         assert SimConfig(epsilon=0.0).effective_body_error_prob == 0.0
 
+    def test_body_error_prob_at_certain_bit_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert SimConfig(epsilon=1.0).effective_body_error_prob == 1.0
+
     def test_body_error_prob_override(self):
         assert SimConfig(epsilon=0.5, body_error_prob=0.0).effective_body_error_prob == 0.0
 
@@ -49,6 +56,11 @@ class TestSimConfig:
             {"timeout": True},
             {"rng_seed": 1.0},
             {"rng_seed": -1},
+            {"epsilon": True},
+            {"p": False},
+            {"horizon": True},
+            {"emission_jitter": False},
+            {"body_error_prob": True},
         ],
     )
     def test_rejects_values_that_hang_or_crash_later(self, bad):

@@ -260,3 +260,83 @@ class TestAdvanceExpired:
         store.create_slots(erroneous(0.0, 0x40), 1, ref=7)
         assert store.remove_base(7) == 9
         assert len(store) == 0
+        assert store.remove_base(7) == 0
+
+    def test_remove_base_counts_the_live_candidates(self):
+        store = make_store()
+        store.create_slots(erroneous(0.0, 0x40), 1, ref=7)
+        store.create_slots(erroneous(1.0, 0x13), 0, ref=8)
+        first = arrive_in_earliest_window(store)
+        store.advance_expired(first.end)
+        assert store.remove_base(7) == 8
+        assert len(store) == 1
+
+    def test_live_ref_must_be_new(self):
+        store = make_store()
+        store.create_slots(erroneous(0.0, 0x40), 1, ref=7)
+        with pytest.raises(ValueError, match="base ref 7"):
+            store.create_slots(erroneous(1.0, 0x13), 1, ref=7)
+        assert len(store) == 9
+
+
+def arrive_in_earliest_window(store):
+    """An arrival at the start of the earliest live window; returns its slot.
+
+    Marks the hits itself as well, so the drop rules are tested apart from
+    the code that sets ``saw_arrival``.
+    """
+    first = min(store.iter_slots(), key=lambda s: s.end)
+    hits = store.slots_containing(first.start)
+    assert [s.seq for s in hits] == [first.seq]
+    for slot in hits:
+        slot.saw_arrival = True
+    return first
+
+
+class TestLeavingAtOwnEnd:
+    """``len(store)`` counts a slot until its own window end, not its base's."""
+
+    def test_seen_candidate_leaves_at_its_end(self):
+        store = make_store()
+        store.create_slots(erroneous(0.0, 0x40), 1, ref=0)
+        first = arrive_in_earliest_window(store)
+        store.advance_expired(math.nextafter(first.end, 0.0))
+        assert len(store) == 9
+        assert store.advance_expired(first.end) == (0, 1)
+        assert len(store) == 8
+        assert all(s.end > first.end for s in store.iter_slots())
+        assert all(s.step == 1 for s in store.iter_slots())
+
+    @pytest.mark.parametrize("timeout", [1, 3])
+    def test_final_step_candidates_leave_one_by_one(self, timeout):
+        store = make_store(timeout=timeout)
+        store.create_slots(erroneous(0.0, 0x40), 1, ref=0)
+        store.advance_expired(16.0 * timeout - 8.0)
+        slots = store.iter_slots()
+        assert {s.step for s in slots} == {timeout} and len(slots) == 9
+        for end in sorted({s.end for s in slots}):
+            store.advance_expired(end)
+            assert len(store) == sum(s.end > end for s in slots)
+
+    def test_catch_up_into_the_final_step(self):
+        # one call moves every slot to step 2 and drops the step-2 slots
+        # whose windows have also ended
+        store = make_store(timeout=2)
+        store.create_slots(erroneous(0.0, 0x40), 1, ref=0)
+        ends = sorted(sum(slot_bounds(x, 2, 0.0, PARAMS)) for x in (0x40 ^ m for m in hamming_ball(1)))
+        now = ends[4]
+        gone = sum(end <= now for end in ends)
+        assert 0 < gone < 9
+        assert store.advance_expired(now) == (9, gone)
+        assert len(store) == 9 - gone
+        assert all(s.step == 2 and s.end > now for s in store.iter_slots())
+
+
+class TestSawArrival:
+    def test_slots_containing_marks_its_hits(self):
+        store = make_store()
+        store.create_slots(erroneous(0.0, 0x40), 1, ref=0)
+        first = min(store.iter_slots(), key=lambda s: s.end)
+        hits = store.slots_containing(first.start)
+        assert [s.saw_arrival for s in hits] == [True]
+        assert sum(s.saw_arrival for s in store.iter_slots()) == 1

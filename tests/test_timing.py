@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from accpair.engine import PairingEngine
-from accpair.simulate import SimConfig
+from accpair.simulate import SimConfig, generate_trace, replay
 from accpair.timing import (
     ProtocolParams,
+    _window,
     hamming,
     hamming_ball,
     jitter_index,
@@ -39,11 +40,11 @@ class TestProtocolParams:
 
     def test_rejects_negative_tolerance(self):
         for name in ("nu_a", "nu_b", "gamma_a", "gamma_b"):
-            for value in (-1e-6, math.inf, math.nan):
+            for value in (-1e-6, math.inf, math.nan, True, False):
                 with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
                     ProtocolParams(**{name: value})
 
-    @pytest.mark.parametrize("t", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.inf, math.nan, True])
     def test_rejects_bad_mean_interval(self, t):
         with pytest.raises(ValueError, match="t must be finite and positive"):
             ProtocolParams(t=t)
@@ -219,3 +220,45 @@ class TestSlotBounds:
             lo_start, lo_width = slot_bounds(128 + s, 1, 0.0, PARAMS)
             hi_start, _ = slot_bounds(128 + s + 1 if s < 127 else 0, 1, 0.0, PARAMS)
             assert lo_start + lo_width < hi_start
+
+
+class TestWindowTable:
+    @pytest.mark.parametrize("params", [
+        ProtocolParams(),
+        ProtocolParams(delta_map=tuple(-16.0 * (s - 64) / 2048.0 for s in range(129))),
+        ProtocolParams(gamma_a=0.02, gamma_b=0.02),
+    ], ids=["default", "reversed", "gamma"])
+    def test_entries_are_the_uncached_windows(self, params):
+        steps = range(1, min(params.max_timeout, 20) + 1)
+        for x in range(params.L):
+            for j in steps:
+                start, width = slot_bounds(x, j, 5.0, params)
+                tnom, theta, tau = _window(x, j, params)
+                assert (start, width) == (5.0 + tnom - theta, tau)
+        assert set(params.window_table) == {(x, j) for x in range(params.L) for j in steps}
+        for (x, j), window in params.window_table.items():
+            assert window == _window(x, j, params)
+
+    def test_argument_checks_survive_a_filled_table(self):
+        params = ProtocolParams()
+        assert lead_time(0x40, 0, params) == params.gamma_a
+        replay(generate_trace(SimConfig(params=params, n=3, epsilon=1 / 16, horizon=100.0)),
+               SimConfig(params=params, M=1))
+        slot_bounds(1, 1, 0.0, params)
+        assert {(0x40, 0), (1, 1)} < set(params.window_table)
+        with pytest.raises(ValueError, match="step must be >= 1"):
+            slot_bounds(0x40, 0, 0.0, params)
+        # keys equal to a cached (x, j) that are not a plain int ACC
+        for x in (256, -1, True, 1.0):
+            with pytest.raises(ValueError, match="outside 0..255"):
+                slot_bounds(x, 1, 0.0, params)
+        with pytest.raises(TypeError):
+            slot_bounds(1, 1.0, 0.0, params)
+
+    def test_equality_and_hash_ignore_the_table(self):
+        filled, fresh = ProtocolParams(), ProtocolParams()
+        slot_bounds(0x40, 3, 0.0, filled)
+        assert filled.window_table and not fresh.window_table
+        assert filled == fresh
+        assert hash(filled) == hash(fresh)
+        assert repr(filled) == repr(fresh)
