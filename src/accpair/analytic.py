@@ -6,15 +6,25 @@ step-1 windows before the genuine next packet arrives.  This module sweeps
 the edges of those windows to find ``sigma_beta``, the time during which
 exactly ``beta`` ACC values would falsely pair, and evaluates the resulting
 closed form under Poisson interference of rate ``lambda = n / t``.
+
+Three module-level caches keep the sweep cheap without changing a bit of
+its output: the step-1 window ``(tnom, theta, tau)`` of every base ACC,
+read once per params from ``ProtocolParams.window_table``; the set of ACC
+values a candidate window pairs with, held as an L-bit integer so that a
+union is an OR and its size a ``bit_count()``; and, per threshold and
+params, the table of ``sum_beta beta * sigma_beta`` over every base ACC
+that ``mean_qM`` reads.  Caches keyed by caller arguments are typed, so
+``True``, ``1.0`` or a numpy integer never hits the entry of an equal
+int and is rejected as on a cold cache.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Dict, Set
+from typing import Dict, Tuple
 
-from .timing import ProtocolParams, hamming_ball, nominal_interval, slot_bounds
+from .timing import ProtocolParams, _table_window, hamming_ball, nominal_interval
 
 
 #: Largest meter count the sizing search tries before giving up.
@@ -36,44 +46,70 @@ def q0(lam: float, sigma: float, L: int = 256) -> float:
     return -math.expm1(-lam * sigma / L)
 
 
+@lru_cache(maxsize=None)
+def _step1_windows(params: ProtocolParams) -> Tuple[Tuple[float, float, float], ...]:
+    """``(tnom, theta, tau)`` of the step-1 window of every base ACC 0..L-1."""
+    return tuple(_table_window(x, 1, params) for x in range(params.L))
+
+
+@lru_cache(maxsize=None)
+def _ball_bits(v: int, r: int, L: int) -> int:
+    """The ACC values within ``r`` bits of ``v``, as the set bits of an L-bit int."""
+    bits = 0
+    for k in hamming_ball(r, L):
+        bits |= 1 << (v ^ k)
+    return bits
+
+
 def sigma(y: int, M: int, params: ProtocolParams) -> Dict[int, float]:
     """Duration exposed to exactly ``beta`` false ACC values, per beta.
 
     Every candidate base ``c`` within ``M`` bit errors of the observed ACC
-    ``y`` (``M`` in 0..log2(L)) opens the half-open step-1 window
-    ``slot_bounds(c, 1, ...)``.  Time 0 is the nominal arrival of the
-    genuine next packet, so every window is cut at 0 and the own window is
-    exposed for its lead time.  The window pairs with the ACC values within
-    ``M - H(y, c)`` bits of ``c + 1``.  Between consecutive window edges
-    the segment counts the union of the ACC values that would pair with
-    any window open in it, so overlapping windows are counted once.
+    ``y`` (``M`` in 0..log2(L)) opens the half-open step-1 window that
+    ``slot_bounds(c, 1, ...)`` gives, here built from the cached
+    ``(tnom, theta, tau)`` of ``c`` with the same expression.  Time 0 is
+    the nominal arrival of the genuine next packet, so every window is cut
+    at 0 and the own window is exposed for its lead time.  The window pairs
+    with the ACC values within ``M - H(y, c)`` bits of ``c + 1``, held as
+    the set bits of an L-bit int.  Between consecutive window edges the
+    segment counts the union of the ACC values that would pair with any
+    window open in it, the ``bit_count()`` of the OR of their bits, so
+    overlapping windows are counted once.
     """
     L = params.L
     origin = -nominal_interval(y, 1, params)  # checks y against L
+    windows = _step1_windows(params)
     edges = []  # (time, opens, mask of the candidate)
-    allowed: Dict[int, Set[int]] = {}
+    allowed: Dict[int, int] = {}
     for m in hamming_ball(M, L):
         c = y ^ m
-        start, width = slot_bounds(c, 1, origin, params)
-        end = min(start + width, 0.0)
+        tnom, theta, tau = windows[c]
+        start = origin + tnom - theta  # slot_bounds' expression: the same bits
+        end = start + tau
+        if end > 0.0:  # min(end, 0.0), without the call
+            end = 0.0
         if start < end:  # else empty, or not before the genuine arrival
-            allowed[m] = {((c + 1) % L) ^ k for k in hamming_ball(M - m.bit_count(), L)}
-            edges += [(start, True, m), (end, False, m)]
+            allowed[m] = _ball_bits((c + 1) % L, M - m.bit_count(), L)
+            edges.append((start, True, m))
+            edges.append((end, False, m))
     edges.sort()  # at equal times a window ends before another starts
     out: Dict[int, float] = {}
-    active: Set[int] = set()
+    active: Dict[int, int] = {}  # mask -> ACC bits of each open window
     for (t0, opens, m), (t1, _, _) in zip(edges, edges[1:]):
         if opens:
-            active.add(m)
+            active[m] = allowed[m]
         else:
-            active.remove(m)
+            del active[m]
         if active and t0 < t1:
-            beta = len(set().union(*(allowed[k] for k in active)))
+            union = 0
+            for bits in active.values():
+                union |= bits
+            beta = union.bit_count()
             out[beta] = out.get(beta, 0.0) + (t1 - t0)
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _beta_weighted_duration(y: int, M: int, params: ProtocolParams) -> float:
     """sum over beta of beta * sigma_beta for one base ACC."""
     # not sum(), which is compensated from Python 3.12 on: same bits everywhere
@@ -83,19 +119,31 @@ def _beta_weighted_duration(y: int, M: int, params: ProtocolParams) -> float:
     return total
 
 
-def qM(y: int, M: int, n: float, params: ProtocolParams) -> float:
-    """False-detection probability for base ACC ``y`` with ``n`` meters."""
+@lru_cache(maxsize=None, typed=True)
+def _beta_weighted_durations(M: int, params: ProtocolParams) -> Tuple[float, ...]:
+    """``_beta_weighted_duration`` of every base ACC 0..L-1."""
+    return tuple(_beta_weighted_duration(y, M, params) for y in range(params.L))
+
+
+def _check_meters(n: float) -> None:
     if not n >= 0:  # NaN fails too
         raise ValueError(f"meter count must be nonnegative, got {n}")
+
+
+def qM(y: int, M: int, n: float, params: ProtocolParams) -> float:
+    """False-detection probability for base ACC ``y`` with ``n`` meters."""
+    _check_meters(n)
     lam = n / params.t
     return -math.expm1(-lam / params.L * _beta_weighted_duration(y, M, params))
 
 
 def mean_qM(M: int, n: float, params: ProtocolParams) -> float:
     """``qM`` averaged over all possible base ACC values."""
+    _check_meters(n)
+    lam = n / params.t
     total = 0.0  # not sum(): see _beta_weighted_duration
-    for y in range(params.L):
-        total += qM(y, M, n, params)
+    for w in _beta_weighted_durations(M, params):
+        total += -math.expm1(-lam / params.L * w)
     return total / params.L
 
 

@@ -29,7 +29,7 @@ from functools import lru_cache
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
-from .timing import ProtocolParams, hamming_ball, slot_bounds
+from .timing import ProtocolParams, check_threshold, hamming_ball, slot_bounds
 
 
 class TraceOrderError(ValueError):
@@ -137,6 +137,8 @@ class SlotStore:
         if ref in self._by_base:
             raise ValueError(f"base ref {ref} already has live slots")
         time, params = pkt.time, self.params
+        if type(M) is not int:  # True or 1.0 would hit the cached layout of 1
+            check_threshold(M, params.L)
         seq = self._next_seq
         slots = []
         lo, hi = math.inf, -math.inf

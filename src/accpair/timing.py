@@ -125,12 +125,13 @@ def check_threshold(M: int, L: int = 256) -> int:
     return M
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def hamming_ball(M: int, L: int = 256) -> Tuple[int, ...]:
     """XOR masks of Hamming weight <= ``M`` over the log2(L) ACC bits.
 
     ``{y ^ m for m in hamming_ball(M, L)}`` is every ACC within ``M`` bit
     errors of ``y``; the ball has ``sum_{b<=M} C(log2 L, b)`` members.
+    The cache is typed: ``True`` or ``1.0`` never hits the entry of ``1``.
     """
     check_threshold(M, L)
     return tuple(m for m in range(L) if m.bit_count() <= M)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -157,6 +158,21 @@ class TestQM:
     def test_decade_ratio(self):
         assert 10 <= mean_qM(1, 200, PARAMS) / mean_qM(0, 200, PARAMS) <= 40
 
+    @pytest.mark.parametrize("call, match", [
+        (lambda y: qM(y, 1, 10, PARAMS), "ACC value"),
+        (lambda M: qM(1, M, 10, PARAMS), "threshold M"),
+        (lambda M: mean_qM(M, 10, PARAMS), "threshold M"),
+        (lambda y: sigma(y, 1, PARAMS), "ACC value"),
+        (lambda M: sigma(1, M, PARAMS), "threshold M"),
+    ], ids=["qM-acc", "qM-threshold", "mean_qM-threshold", "sigma-acc", "sigma-threshold"])
+    def test_warm_caches_keep_the_argument_checks(self, call, match):
+        # True, 1.0 and a numpy 1 equal 1 and hash like it: they must not
+        # hit any cache entry that the call with 1 filled
+        call(1)
+        for bad in (True, 1.0, np.int64(1)):
+            with pytest.raises(ValueError, match=match):
+                call(bad)
+
     def test_mean_bits_pinned(self):
         # the same last bit on every interpreter: sum() of floats is
         # compensated from Python 3.12 on, a += loop is not
@@ -311,6 +327,35 @@ def test_sigma_matches_window_sweep_on_random_geometry(L, t, nu_a, nu_b, gamma_a
             s, oracle = sigma(y, m, params), swept_sigma(y, m, params)
             for beta in set(s) | set(oracle):
                 assert abs(s.get(beta, 0.0) - oracle.get(beta, 0.0)) < 1e-12, (y, m, beta)
+
+
+#: Geometries whose closed-form values the recorded digest pins: the
+#: default, other mean intervals (t=8 windows overlap), large jitter,
+#: large clock tolerance, the reversed map and the L=16 repro.
+DIGEST_GEOMETRIES = (
+    PARAMS,
+    ProtocolParams(t=32.0),
+    ProtocolParams(t=8.0),
+    ProtocolParams(gamma_a=0.02, gamma_b=0.02),
+    ProtocolParams(nu_a=0.01, nu_b=0.01),
+    REVERSED,
+    REPRO,
+)
+
+
+def test_closed_form_matches_recorded_digest():
+    # every bit of sigma, qM, mean_qM and the sizing bound, recorded from
+    # the set-based union that the bitmask sweep replaced
+    digest = hashlib.sha256()
+    for params in DIGEST_GEOMETRIES:
+        for M in range(min(3, params.L.bit_length() - 1) + 1):
+            for y in range(params.L):
+                digest.update(repr(sigma(y, M, params)).encode())
+                digest.update(repr(qM(y, M, 137, params)).encode())
+            for n in (1, 50, 400, 1e4):
+                digest.update(repr(mean_qM(M, n, params)).encode())
+            digest.update(repr(max_distinguishable_meters(1e-3, M, params)).encode())
+    assert digest.hexdigest() == "8bb79f53c993196e04224330b5be86199a5d7b8ed2d99699fcb344ee9ee61568"
 
 
 class TestMaxDistinguishableMeters:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,6 +70,14 @@ class TestCandidateAccs:
         with pytest.raises(ValueError, match="0..8"):
             store.create_slots(erroneous(0.0, 0x40), 9, ref=0)
         assert len(store) == 0
+
+    def test_warm_candidate_cache_keeps_the_threshold_check(self):
+        store = make_store()
+        assert store.create_slots(erroneous(0.0, 0x40), 1, ref=0) == 9
+        for ref, M in enumerate((True, 1.0, np.int64(1)), start=1):
+            with pytest.raises(ValueError, match="threshold M must be an integer"):
+                store.create_slots(erroneous(1.0, 0x40), M, ref=ref)
+        assert len(store) == 9
 
 
 class TestCreateSlots:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,6 +129,17 @@ def test_threshold_must_be_an_integer():
             SimConfig(M=M)
         with pytest.raises(ValueError, match="integer"):
             hamming_ball(M)
+
+
+def test_warm_ball_cache_keeps_the_threshold_check():
+    # True, 1.0 and a numpy 1 equal 1 and hash like it: they must not hit
+    # the cached ball of 1
+    assert len(hamming_ball(1)) == len(hamming_ball(1, 256)) == 9
+    for M in (True, 1.0, np.int64(1)):
+        with pytest.raises(ValueError, match="threshold M must be an integer"):
+            hamming_ball(M)
+        with pytest.raises(ValueError, match="threshold M must be an integer"):
+            hamming_ball(M, 256)
 
 
 class TestJitterIndex:
