@@ -41,8 +41,10 @@ def q0(lam: float, sigma: float, L: int = 256) -> float:
     Probability that any Poisson arrival of rate ``lam`` during ``sigma``
     seconds carries the one problematic ACC out of ``L``.
     """
-    if not (lam >= 0 and sigma >= 0):  # NaN fails too
-        raise ValueError("rate and duration must be nonnegative")
+    # NaN fails the range checks; a bool is not taken for a number
+    for value in (lam, sigma):
+        if isinstance(value, bool) or not 0 <= value < math.inf:
+            raise ValueError(f"rate and duration must be finite and nonnegative, got {value!r}")
     return -math.expm1(-lam * sigma / L)
 
 
@@ -126,8 +128,9 @@ def _beta_weighted_durations(M: int, params: ProtocolParams) -> Tuple[float, ...
 
 
 def _check_meters(n: float) -> None:
-    if not n >= 0:  # NaN fails too
-        raise ValueError(f"meter count must be nonnegative, got {n}")
+    # NaN fails the range check; a bool is not taken for a count
+    if isinstance(n, bool) or not 0 <= n < math.inf:
+        raise ValueError(f"meter count must be finite and nonnegative, got {n!r}")
 
 
 def qM(y: int, M: int, n: float, params: ProtocolParams) -> float:

@@ -1,11 +1,12 @@
 """On-arrival pairing: match against live slots, advance/expire, create.
 
-Each arrival is processed in three steps: the store is first brought up to
-date (windows whose end time has passed are advanced or dropped), then the
-arrival is matched against the slots containing its time using the total
-Hamming distance threshold, and finally new slots are created according to
-the configured policy.  One engine processes one trace serially; distinct
-engine instances are fully independent.
+Each arrival is processed in two steps.  One store lookup brings the store
+up to the arrival's time (windows whose end time has passed are advanced or
+dropped) and returns the slots whose windows hold it; the arrival is
+matched against them using the total Hamming distance threshold.  Then new
+slots are created according to the configured policy.  One engine
+processes one trace serially; distinct engine instances are fully
+independent.
 """
 
 from __future__ import annotations
@@ -94,6 +95,10 @@ class PairingEngine:
     def on_arrival(self, pkt: PacketArrival) -> PairingOutcome:
         """Process one arrival and decide pair / no-pair.
 
+        A single ``slots_containing`` call advances the store to the
+        arrival's time and finds the slots whose windows hold it; the best
+        one within the threshold pairs, by (distance, step, creation order).
+
         An arrival whose ACC is not an int in 0..L-1, or whose time is not
         finite or precedes the previous arrival, raises before any engine
         state changes.
@@ -108,8 +113,6 @@ class PairingEngine:
         self._last_time = pkt.time
         ref = self._next_ref
         self._next_ref += 1
-
-        self.store.advance_expired(pkt.time)
 
         candidates = self.store.slots_containing(pkt.time)
         best: Optional[VirtualSlot] = None

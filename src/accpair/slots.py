@@ -5,8 +5,7 @@ the meter that sent some erroneous base packet, under one hypothesis about
 the base's true ACC.  The store keeps one record per base packet: its live
 candidate slots, all at the same step, and the envelope ``[start, end)``
 that spans their windows.  One list sorted by envelope start indexes the
-records, so containment queries and expiry sweeps read a prefix found by
-binary search.
+records, so a query reads only the prefix whose envelope starts by then.
 
 ``ProtocolParams.max_timeout`` bounds the timeout so that every step-j
 window of a base closes before any of its step-(j+1) windows opens.  A
@@ -17,7 +16,19 @@ So a record is touched only once its envelope has ended, and then advanced
 as a whole.  Candidates that leave instead of advancing, because their
 window held an arrival or because they are at the final step, must leave
 at their own window end for ``len(store)`` to stay exact; a small heap of
-``(end, seq, slot)`` holds just those.  A store instance is single-writer.
+``(end, seq, slot)`` holds just those.
+
+Each query walks that prefix once.  A record whose envelope has ended is
+swept and re-indexed (so it is met again if its next envelope has begun);
+an open one is scanned for windows holding the query time; the heap is
+drained after the walk.  An open record's windows are narrow next to its
+envelope, so it keeps a skip time before which none of them holds a time:
+its envelope start when created or swept, then after each scan the query
+time if a window holds it, else the earliest later window start.  The walk
+passes a record whose skip time is still ahead with one comparison.  That
+is exact only because query times never decrease: a store is single-writer
+and queried in time order, which ``PairingEngine`` enforces by rejecting
+an out-of-order arrival.
 """
 
 from __future__ import annotations
@@ -57,7 +68,7 @@ class PacketArrival:
             raise ValueError("a true_acc needs a meter_id")
 
 
-@dataclass
+@dataclass(slots=True)
 class VirtualSlot:
     """A predicted reception window tied to one erroneous base packet."""
 
@@ -94,6 +105,7 @@ class _Base:
     slots: List[VirtualSlot]
     start: float  # envelope [start, end) of their windows
     end: float
+    skip: float   # no window holds a time before this
 
 
 class SlotStore:
@@ -154,7 +166,7 @@ class SlotStore:
         if self.timeout == 1:
             for slot in slots:
                 heappush(self._leaving, (slot.end, slot.seq, slot))
-        rec = self._by_base[ref] = _Base(slots, lo, hi)
+        rec = self._by_base[ref] = _Base(slots, lo, hi, lo)
         insort(self._by_start, (lo, ref, rec))
         self._live += len(slots)
         return len(slots)
@@ -176,22 +188,77 @@ class SlotStore:
         moves to the next step (expected ACC and bounds recomputed from its
         base packet) and is dropped once the step count exceeds the
         timeout.  Slots that leave at their own window end go after the
-        sweep.  Only the prefix of the index with ``start <= now`` can hold
-        an ended record, and a moved record is re-indexed by its new start,
-        so one call catches it up through every window that ended by
-        ``now``.  Returns ``(advanced, expired)`` counts.
+        sweep.  A moved record is re-indexed by its new start, so one call
+        catches it up through every window that ended by ``now``.
+        ``slots_containing`` does the same itself, so a caller needs this
+        only to bring the store up to a time that no arrival queries.
+        Returns ``(advanced, expired)`` counts.
         """
+        return self._walk(now, None)
+
+    # -- lookup -----------------------------------------------------------
+
+    def slots_containing(self, time: float) -> List[VirtualSlot]:
+        """Live slots whose half-open window [start, start+width) holds ``time``.
+
+        First brings the store up to ``time`` as ``advance_expired`` does,
+        in the same walk.  Marks each hit ``saw_arrival``: once its window
+        ends it is dropped instead of advanced.  ``time`` must not precede
+        an earlier query's.
+        """
+        hits: List[VirtualSlot] = []
+        self._walk(time, hits)
+        return hits
+
+    def windows(self) -> List[Tuple[float, float]]:
+        """Live windows, merged where they overlap or touch, as (start, end) in time order.
+
+        A slot whose window has ended keeps it here until its base's
+        envelope ends and the next query or ``advance_expired`` moves it on.
+        """
+        merged: List[Tuple[float, float]] = []
+        for start, end in sorted((s.start, s.end) for rec in self._by_base.values()
+                                 for s in rec.slots):
+            if merged and start <= merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], end))
+            else:
+                merged.append((start, end))
+        return merged
+
+    # -- internals --------------------------------------------------------
+
+    def _walk(self, now: float, hits: Optional[List[VirtualSlot]]) -> Tuple[int, int]:
+        # sweeps the ended records of the prefix; with a hits list, also
+        # scans the open ones whose skip time has come
         advanced = 0
         expired = 0
         by_start = self._by_start
         timeout, L, params = self.timeout, self.params.L, self.params
-        i = 0
-        while i < len(by_start) and by_start[i][0] <= now:
-            _, ref, rec = by_start[i]
+        i, n = 0, bisect_right(by_start, (now, math.inf))
+        while i < n:  # a while loop is the fastest scan on Python 3.11
+            rec = by_start[i][2]
             if rec.end > now:
                 i += 1
+                if hits is None or now < rec.skip:
+                    continue
+                skip = math.inf
+                for slot in rec.slots:
+                    start = slot.start
+                    if start > now:
+                        if start < skip:
+                            skip = start
+                    elif now < start + slot.width:  # slot.end, inlined
+                        skip = now
+                        hits.append(slot)
+                        if not slot.saw_arrival:
+                            slot.saw_arrival = True
+                            if slot.step < timeout:
+                                heappush(self._leaving, (start + slot.width, slot.seq, slot))
+                rec.skip = skip
                 continue
+            ref = by_start[i][1]
             del by_start[i]
+            n -= 1
             slots = rec.slots
             step = slots[0].step + 1
             kept = [slot for slot in slots if not slot.saw_arrival] if step <= timeout else []
@@ -214,19 +281,25 @@ class SlotStore:
             if not kept:
                 del self._by_base[ref]
                 continue
-            rec.slots, rec.start, rec.end = kept, lo, hi
+            rec.slots, rec.start, rec.end, rec.skip = kept, lo, hi, lo
             # the next envelope starts after this one ended, so the record
             # lands at or after position i and is met again if it is due
             insort(by_start, (lo, ref, rec), i)
+            if lo <= now:
+                n += 1
+        # a slot that leaves here has a window that ended by now, so it is
+        # no hit, and dropping it leaves every skip time a lower bound
         leaving = self._leaving
         while leaving and leaving[0][0] <= now:
             slot = heappop(leaving)[2]
             rec = self._by_base.get(slot.base_ref)
-            # gone already if its base paired or the sweep dropped it; found
-            # by identity, since equal dataclasses need not be the same slot
-            slots = rec.slots if rec is not None else ()
-            k = next((k for k, s in enumerate(slots) if s is slot), None)
-            if k is None:
+            if rec is None:  # its base paired or the sweep dropped it
+                continue
+            # found by identity, since equal dataclasses need not be the same slot
+            for k, s in enumerate(rec.slots):
+                if s is slot:
+                    break
+            else:
                 continue
             del rec.slots[k]
             expired += 1
@@ -235,46 +308,6 @@ class SlotStore:
                 self._unindex(slot.base_ref, rec)
         self._live -= expired
         return advanced, expired
-
-    # -- lookup -----------------------------------------------------------
-
-    def slots_containing(self, time: float) -> List[VirtualSlot]:
-        """Live slots whose half-open window [start, start+width) holds ``time``.
-
-        Marks each one ``saw_arrival``: once its window ends it is dropped
-        instead of advanced.
-        """
-        hits: List[VirtualSlot] = []
-        by_start = self._by_start
-        i, hi = 0, bisect_right(by_start, (time, math.inf))
-        while i < hi:  # a while loop is the fastest scan on Python 3.11
-            for slot in by_start[i][2].slots:
-                start = slot.start
-                if start <= time < start + slot.width:  # slot.end, inlined
-                    hits.append(slot)
-                    if not slot.saw_arrival:
-                        slot.saw_arrival = True
-                        if slot.step < self.timeout:
-                            heappush(self._leaving, (slot.end, slot.seq, slot))
-            i += 1
-        return hits
-
-    def windows(self) -> List[Tuple[float, float]]:
-        """Live windows, merged where they overlap or touch, as (start, end) in time order.
-
-        A slot whose window has ended keeps it here until its base's
-        envelope ends, when ``advance_expired`` moves it on.
-        """
-        merged: List[Tuple[float, float]] = []
-        for start, end in sorted((s.start, s.end) for rec in self._by_base.values()
-                                 for s in rec.slots):
-            if merged and start <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-            else:
-                merged.append((start, end))
-        return merged
-
-    # -- internals --------------------------------------------------------
 
     def _unindex(self, ref: int, rec: _Base) -> None:
         # (start, ref) sorts just before its own (start, ref, rec) entry

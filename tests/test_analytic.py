@@ -53,6 +53,12 @@ class TestQ0:
             with pytest.raises(ValueError):
                 q0(lam, duration)
 
+    @pytest.mark.parametrize("lam, duration", [
+        (math.inf, 0.0), (1.0, math.inf), (True, 1.0), (1.0, False)])
+    def test_rejects_infinite_or_boolean(self, lam, duration):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            q0(lam, duration)
+
 
 def widths(*bases):
     """Summed step-1 window widths of the given base ACCs."""
@@ -148,6 +154,21 @@ class TestQM:
         for n in (-1, math.nan):
             with pytest.raises(ValueError, match="meter count"):
                 qM(0x40, 1, n, PARAMS)
+
+    @pytest.mark.parametrize("n", [math.inf, True, False])
+    def test_rejects_infinite_or_boolean_meter_count(self, n):
+        # an infinite count gave nan when every window is empty, and True
+        # the value at n=1
+        empty = ProtocolParams(nu_a=0, nu_b=0, gamma_a=0, gamma_b=0)
+        for call in (lambda: qM(0x40, 1, n, empty), lambda: mean_qM(1, n, empty),
+                     lambda: qM(0x40, 1, n, PARAMS)):
+            with pytest.raises(ValueError, match="meter count"):
+                call()
+
+    def test_finite_meter_counts_pass(self):
+        for n in (0, 1e4, np.int64(50), 200.0):
+            assert 0.0 <= qM(0x40, 1, n, PARAMS) == qM(0x40, 1, float(n), PARAMS) < 1.0
+            assert 0.0 <= mean_qM(1, n, PARAMS) < 1.0
 
     def test_monotone_in_meters_and_threshold(self):
         values = [qM(0x40, 1, n, PARAMS) for n in (0, 50, 200, 800)]

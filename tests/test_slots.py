@@ -349,3 +349,56 @@ class TestSawArrival:
         hits = store.slots_containing(first.start)
         assert [s.saw_arrival for s in hits] == [True]
         assert sum(s.saw_arrival for s in store.iter_slots()) == 1
+
+
+# op codes for the store-contract test; every time is a multiple of params.t
+_CREATE, _REMOVE, _QUERY, _AT_WINDOW = range(4)
+_GAPS = st.one_of(st.sampled_from([0.0, 1e-4, 0.01, 0.3, 1.0]), st.floats(0.0, 3.0))
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just(_CREATE), _GAPS, st.integers(0, 255), st.integers(0, 2)),
+    st.tuples(st.just(_REMOVE), st.integers(0, 40)),
+    st.tuples(st.just(_QUERY), _GAPS),
+    # a query at the start, middle or end of a live window, or at the same time again
+    st.tuples(st.just(_AT_WINDOW), st.integers(0, 10**6), st.sampled_from([0.0, 0.5, 1.0, None])),
+), max_size=80)
+
+
+class TestStoreContract:
+    """``slots_containing`` at non-decreasing times, against brute force and a twin.
+
+    The twin store calls ``advance_expired(t)`` before each
+    ``slots_containing(t)``, so it takes the sweep and the lookup in two
+    walks instead of one.
+    """
+
+    @given(st.sampled_from([PARAMS, ProtocolParams(gamma_a=0.02, gamma_b=0.02),
+                            ProtocolParams(L=16, t=1.0)]),
+           st.sampled_from([1, 3, 10]), _OPS)
+    @settings(max_examples=300, deadline=None)
+    def test_one_walk_matches_brute_force_and_two_walks(self, params, timeout, ops):
+        store, twin = SlotStore(params, timeout=timeout), SlotStore(params, timeout=timeout)
+        now, refs = 0.0, 0
+        for op in ops:
+            if op[0] == _CREATE:
+                now += op[1] * params.t
+                pkt = erroneous(now, op[2] % params.L)
+                assert store.create_slots(pkt, op[3], refs) == twin.create_slots(pkt, op[3], refs)
+                refs += 1
+            elif op[0] == _REMOVE:
+                assert store.remove_base(op[1]) == twin.remove_base(op[1])
+            else:
+                if op[0] == _QUERY:
+                    now += op[1] * params.t
+                elif op[2] is not None:
+                    live = [s for s in store.iter_slots() if s.end > now]
+                    if live:
+                        slot = live[op[1] % len(live)]
+                        now = max(now, slot.start + op[2] * slot.width)
+                hits = store.slots_containing(now)
+                twin.advance_expired(now)
+                assert [s.seq for s in twin.slots_containing(now)] == [s.seq for s in hits]
+                assert sorted(s.seq for s in hits) == [
+                    s.seq for s in store.iter_slots() if s.start <= now < s.end]
+                assert all(s.saw_arrival for s in hits)
+            assert len(store) == len(twin) == len(store.iter_slots())
+            assert store.iter_slots() == twin.iter_slots()  # every field of every slot
