@@ -45,6 +45,8 @@ def q0(lam: float, sigma: float, L: int = 256) -> float:
     for value in (lam, sigma):
         if isinstance(value, bool) or not 0 <= value < math.inf:
             raise ValueError(f"rate and duration must be finite and nonnegative, got {value!r}")
+    if not isinstance(L, int) or isinstance(L, bool) or L < 1:
+        raise ValueError(f"L must be an integer >= 1, got {L!r}")
     return -math.expm1(-lam * sigma / L)
 
 

@@ -4,18 +4,17 @@ Each arrival is processed in two steps.  One store lookup brings the store
 up to the arrival's time (windows whose end time has passed are advanced or
 dropped) and returns the slots whose windows hold it; the arrival is
 matched against them using the total Hamming distance threshold.  Then new
-slots are created according to the configured policy.  One engine
-processes one trace serially; distinct engine instances are fully
-independent.
+slots are created according to the configured policy.  The lookup also
+rejects an arrival out of time order.  One engine processes one trace
+serially; distinct engine instances are fully independent.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .slots import PacketArrival, SlotStore, TraceOrderError, VirtualSlot
+from .slots import PacketArrival, SlotStore, VirtualSlot
 from .timing import ProtocolParams, check_acc, check_threshold, hamming
 
 #: Slot-creation policies.  ANALYSIS creates slots only for erroneous
@@ -89,7 +88,6 @@ class PairingEngine:
         self.M = check_threshold(M, self.params.L)
         self.policy = policy
         self.store = SlotStore(self.params, timeout=timeout)
-        self._last_time: Optional[float] = None
         self._next_ref = 0
 
     def on_arrival(self, pkt: PacketArrival) -> PairingOutcome:
@@ -99,22 +97,15 @@ class PairingEngine:
         arrival's time and finds the slots whose windows hold it; the best
         one within the threshold pairs, by (distance, step, creation order).
 
-        An arrival whose ACC is not an int in 0..L-1, or whose time is not
-        finite or precedes the previous arrival, raises before any engine
-        state changes.
+        An arrival whose ACC is not an int in 0..L-1 raises ``ValueError``,
+        and one whose time is not finite or precedes the previous arrival
+        raises ``TraceOrderError``, before any engine state changes.
         """
         check_acc(pkt.acc, self.params.L)
-        if not math.isfinite(pkt.time):
-            raise TraceOrderError(f"arrival time {pkt.time} is not finite")
-        if self._last_time is not None and pkt.time < self._last_time:
-            raise TraceOrderError(
-                f"arrival at {pkt.time} precedes previous arrival at {self._last_time}"
-            )
-        self._last_time = pkt.time
+        candidates = self.store.slots_containing(pkt.time)
         ref = self._next_ref
         self._next_ref += 1
 
-        candidates = self.store.slots_containing(pkt.time)
         best: Optional[VirtualSlot] = None
         best_key = None
         for slot in candidates:

@@ -279,7 +279,9 @@ def _false_detection_trial(cfg: SimConfig, base_true_acc: int, rng: np.random.Ge
             )
             if out.kind == "pair":
                 return bool(out.is_false)
-        engine.store.advance_expired(segments[-1][1])
+        # no half-open window holds the latest window end, so this finds no
+        # slot and only moves the base on to its next step
+        engine.store.slots_containing(segments[-1][1])
     return False
 
 

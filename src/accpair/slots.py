@@ -26,9 +26,10 @@ envelope, so it keeps a skip time before which none of them holds a time:
 its envelope start when created or swept, then after each scan the query
 time if a window holds it, else the earliest later window start.  The walk
 passes a record whose skip time is still ahead with one comparison.  That
-is exact only because query times never decrease: a store is single-writer
-and queried in time order, which ``PairingEngine`` enforces by rejecting
-an out-of-order arrival.
+is exact only because query times never decrease: the query, the one
+method that moves the store's time, raises ``TraceOrderError`` on a time
+that is not finite or precedes the last query's.  A base may be created at
+any time, as its skip time starts at its envelope start.
 """
 
 from __future__ import annotations
@@ -127,6 +128,7 @@ class SlotStore:
         self._leaving: List[Tuple[float, int, VirtualSlot]] = []
         self._live = 0
         self._next_seq = 0
+        self._now = -math.inf  # time of the last query
 
     def __len__(self) -> int:
         return self._live
@@ -180,75 +182,43 @@ class SlotStore:
         self._live -= len(rec.slots)
         return len(rec.slots)
 
-    def advance_expired(self, now: float) -> Tuple[int, int]:
-        """Advance or drop every slot whose window has fully passed.
-
-        A base's record is swept once its envelope has ended by ``now``:
-        a slot whose window contained an arrival is dropped, any other
-        moves to the next step (expected ACC and bounds recomputed from its
-        base packet) and is dropped once the step count exceeds the
-        timeout.  Slots that leave at their own window end go after the
-        sweep.  A moved record is re-indexed by its new start, so one call
-        catches it up through every window that ended by ``now``.
-        ``slots_containing`` does the same itself, so a caller needs this
-        only to bring the store up to a time that no arrival queries.
-        Returns ``(advanced, expired)`` counts.
-        """
-        return self._walk(now, None)
-
     # -- lookup -----------------------------------------------------------
 
     def slots_containing(self, time: float) -> List[VirtualSlot]:
         """Live slots whose half-open window [start, start+width) holds ``time``.
 
-        First brings the store up to ``time`` as ``advance_expired`` does,
-        in the same walk.  Marks each hit ``saw_arrival``: once its window
-        ends it is dropped instead of advanced.  ``time`` must not precede
-        an earlier query's.
+        First moves the store to ``time``: each base whose windows have all
+        ended drops its seen slots and moves the rest to the next step, with
+        bounds recomputed from the base packet, or drops them past the
+        timeout, as often as needed.  Marks each hit ``saw_arrival``: once
+        its window ends it is dropped instead of advanced.  Raises
+        ``TraceOrderError``, before any change, if ``time`` is not finite or
+        precedes the previous query's.
         """
+        if not math.isfinite(time):
+            raise TraceOrderError(f"time {time} is not finite")
+        if time < self._now:
+            raise TraceOrderError(f"time {time} precedes the previous query at {self._now}")
+        self._now = time
         hits: List[VirtualSlot] = []
-        self._walk(time, hits)
-        return hits
-
-    def windows(self) -> List[Tuple[float, float]]:
-        """Live windows, merged where they overlap or touch, as (start, end) in time order.
-
-        A slot whose window has ended keeps it here until its base's
-        envelope ends and the next query or ``advance_expired`` moves it on.
-        """
-        merged: List[Tuple[float, float]] = []
-        for start, end in sorted((s.start, s.end) for rec in self._by_base.values()
-                                 for s in rec.slots):
-            if merged and start <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-            else:
-                merged.append((start, end))
-        return merged
-
-    # -- internals --------------------------------------------------------
-
-    def _walk(self, now: float, hits: Optional[List[VirtualSlot]]) -> Tuple[int, int]:
-        # sweeps the ended records of the prefix; with a hits list, also
-        # scans the open ones whose skip time has come
-        advanced = 0
         expired = 0
         by_start = self._by_start
         timeout, L, params = self.timeout, self.params.L, self.params
-        i, n = 0, bisect_right(by_start, (now, math.inf))
+        i, n = 0, bisect_right(by_start, (time, math.inf))
         while i < n:  # a while loop is the fastest scan on Python 3.11
             rec = by_start[i][2]
-            if rec.end > now:
+            if rec.end > time:
                 i += 1
-                if hits is None or now < rec.skip:
+                if time < rec.skip:
                     continue
                 skip = math.inf
                 for slot in rec.slots:
                     start = slot.start
-                    if start > now:
+                    if start > time:
                         if start < skip:
                             skip = start
-                    elif now < start + slot.width:  # slot.end, inlined
-                        skip = now
+                    elif time < start + slot.width:  # slot.end, inlined
+                        skip = time
                         hits.append(slot)
                         if not slot.saw_arrival:
                             slot.saw_arrival = True
@@ -277,7 +247,6 @@ class SlotStore:
                 if start + width > hi:
                     hi = start + width
             expired += len(slots) - len(kept)
-            advanced += len(kept)
             if not kept:
                 del self._by_base[ref]
                 continue
@@ -285,12 +254,12 @@ class SlotStore:
             # the next envelope starts after this one ended, so the record
             # lands at or after position i and is met again if it is due
             insort(by_start, (lo, ref, rec), i)
-            if lo <= now:
+            if lo <= time:
                 n += 1
         # a slot that leaves here has a window that ended by now, so it is
         # no hit, and dropping it leaves every skip time a lower bound
         leaving = self._leaving
-        while leaving and leaving[0][0] <= now:
+        while leaving and leaving[0][0] <= time:
             slot = heappop(leaving)[2]
             rec = self._by_base.get(slot.base_ref)
             if rec is None:  # its base paired or the sweep dropped it
@@ -307,7 +276,24 @@ class SlotStore:
                 del self._by_base[slot.base_ref]
                 self._unindex(slot.base_ref, rec)
         self._live -= expired
-        return advanced, expired
+        return hits
+
+    def windows(self) -> List[Tuple[float, float]]:
+        """Live windows, merged where they overlap or touch, as (start, end) in time order.
+
+        A slot whose window has ended keeps it here until its base's
+        envelope ends and a query moves it on.
+        """
+        merged: List[Tuple[float, float]] = []
+        for start, end in sorted((s.start, s.end) for rec in self._by_base.values()
+                                 for s in rec.slots):
+            if merged and start <= merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], end))
+            else:
+                merged.append((start, end))
+        return merged
+
+    # -- internals --------------------------------------------------------
 
     def _unindex(self, ref: int, rec: _Base) -> None:
         # (start, ref) sorts just before its own (start, ref, rec) entry

@@ -128,7 +128,8 @@ def load_experiment_config(inp: IO[str]):
     """Build a SimConfig from a JSON experiment document.
 
     Returns ``(config, out_path)`` where ``out_path`` is the optional
-    "out" entry of the document.
+    "out" entry of the document, a string or None.  ``params.L`` may not
+    exceed 256, since a trace stores each ACC as one byte.
     """
     try:
         doc = json.load(inp)
@@ -153,4 +154,10 @@ def load_experiment_config(inp: IO[str]):
         cfg = SimConfig(params=params, **{k: doc[k] for k in _TRACE_KEYS if k in doc})
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
-    return cfg, doc.get("out")
+    if params.L > 256:
+        raise ConfigError(f"params.L {params.L} exceeds 256: a trace's acc_hex column "
+                          "holds one byte")
+    out = doc.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"out must be a path string or null, got {out!r}")
+    return cfg, out

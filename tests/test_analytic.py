@@ -59,6 +59,15 @@ class TestQ0:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             q0(lam, duration)
 
+    @pytest.mark.parametrize("L", [0, -256, 2.5, True, 16.0])
+    def test_rejects_a_counter_size_that_is_not_a_positive_integer(self, L):
+        with pytest.raises(ValueError, match="L must be an integer >= 1"):
+            q0(1.0, 1.0, L)
+
+    def test_counter_sizes_that_pass(self):
+        assert q0(1.0, 1.0, 1) == -math.expm1(-1.0)
+        assert q0(1.0, 1.0, 16) == -math.expm1(-1.0 / 16)
+
 
 def widths(*bases):
     """Summed step-1 window widths of the given base ACCs."""

@@ -192,6 +192,17 @@ class TestGentrace:
             code, text = run(tmp_path, "gentrace", "--config", str(cfg))
             assert (code, text) == (EXIT_PARSE, None)
 
+    def test_out_that_is_not_a_path_is_parse_error(self, tmp_path, capsys):
+        for out in (True, 7, ["a"]):
+            cfg = self.write_config(tmp_path, n=1, horizon=20.0, out=out)
+            assert main(["gentrace", "--config", str(cfg)]) == EXIT_PARSE
+            assert capsys.readouterr().out == ""
+
+    def test_counter_wider_than_a_byte_is_parse_error(self, tmp_path):
+        cfg = self.write_config(tmp_path, n=2, horizon=40.0, params={"L": 512})
+        code, text = run(tmp_path, "gentrace", "--config", str(cfg))
+        assert (code, text) == (EXIT_PARSE, None)
+
     def test_config_directory_is_parse_error(self, tmp_path):
         code, _ = run(tmp_path, "gentrace", "--config", str(tmp_path))
         assert code == EXIT_PARSE

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from accpair.engine import DEPLOYMENT
 from accpair.simulate import (
     SimConfig,
+    _false_detection_trial,
+    _trial_rng,
     generate_trace,
     replay,
     simulate_false_detection,
@@ -190,6 +193,34 @@ class TestSimulateFalseDetection:
         assert first.fd_std_error == pytest.approx(
             (first.fd_rate * (1 - first.fd_rate) / cfg.trials) ** 0.5
         )
+
+
+#: Candidate 0x0 of base 0x8 has 0.1 s intervals; only timeout 1 orders its steps.
+REPRO = ProtocolParams(L=16, t=1.0, delta_map=(0.9,) + (0.15,) * 6 + (-0.9, -0.9))
+
+#: fd settings whose per-trial outcomes the recorded digest pins; each n is
+#: large enough that some trials pair falsely
+FD_DIGEST_SETTINGS = (
+    SimConfig(n=20000, M=0, rng_seed=1),
+    SimConfig(n=2000, M=1, epsilon=1 / 32, rng_seed=2),
+    SimConfig(n=400, M=2, p=0.3, rng_seed=3),
+    SimConfig(n=2000, M=1, emission_jitter=0.01, rng_seed=4),
+    SimConfig(params=ProtocolParams(gamma_a=0.02, gamma_b=0.02), n=2000, M=1, rng_seed=5),
+    SimConfig(params=REPRO, n=40, M=1, timeout=1, rng_seed=6),
+)
+
+
+def test_false_detection_outcomes_match_recorded_digest():
+    # every trial's outcome, drawn as simulate_false_detection draws it
+    digest = hashlib.sha256()
+    for cfg in FD_DIGEST_SETTINGS:
+        outcomes = bytes(
+            _false_detection_trial(cfg, i % cfg.params.L, _trial_rng(cfg.rng_seed, i))
+            for i in range(500)
+        )
+        assert 0 < sum(outcomes) < len(outcomes)
+        digest.update(outcomes)
+    assert digest.hexdigest() == "6312518d6747a49808c7274913ae0863caae85ca5172b4a33c424f559a95f760"
 
 
 class TestSimulateMemory:

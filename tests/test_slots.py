@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from accpair.engine import PairingEngine
-from accpair.slots import PacketArrival, SlotStore
+from accpair.slots import PacketArrival, SlotStore, TraceOrderError
 from accpair.timing import ProtocolParams, hamming, hamming_ball, slot_bounds
 
 PARAMS = ProtocolParams()
@@ -134,7 +135,7 @@ class TestSlotsContaining:
 
     def test_ended_windows_excluded_without_advance(self):
         # at the own window's start the six earlier windows of base 0x40
-        # have ended, and no advance_expired has dropped them
+        # have ended, but stay live until the base's envelope ends
         store = make_store()
         store.create_slots(erroneous(0.0, 0x40), 1, ref=0)
         own = next(s for s in store.iter_slots() if s.xi == 0x41)
@@ -175,7 +176,7 @@ class TestWindows:
         store = SlotStore(params, timeout=10)
         store.create_slots(erroneous(0.0, y), M, ref=0)
         store.create_slots(erroneous(8.0, y ^ 0x11), M, ref=1)
-        store.advance_expired(16.0 * rounds)
+        store.slots_containing(16.0 * rounds)
         pairs = store.windows()
         for (_, end), (start, _) in zip(pairs, pairs[1:]):
             assert end < start
@@ -187,13 +188,14 @@ class TestAdvanceExpired:
     def test_noop_when_nothing_expired(self):
         store = make_store()
         store.create_slots(erroneous(0.0, 0x40), 0, ref=0)
-        assert store.advance_expired(1.0) == (0, 0)
+        assert store.slots_containing(1.0) == []
+        (slot,) = store.iter_slots()
+        assert slot.step == 1
 
     def test_advance_recomputes_from_base_path(self):
         store = make_store()
         store.create_slots(erroneous(0.0, 0x40), 0, ref=0)
-        advanced, expired = store.advance_expired(17.0)
-        assert (advanced, expired) == (1, 0)
+        assert store.slots_containing(17.0) == []
         (slot,) = store.iter_slots()
         assert slot.xi == 0x42
         assert slot.step == 2
@@ -202,7 +204,7 @@ class TestAdvanceExpired:
     def test_shared_window_diverges_after_advance(self):
         store = make_store()
         store.create_slots(erroneous(0.0, 0x40), 1, ref=0)
-        store.advance_expired(18.0)
+        store.slots_containing(18.0)
         by_xi = {s.xi: s for s in store.iter_slots()}
         assert by_xi[0x42].start != by_xi[0xC2].start
 
@@ -211,26 +213,24 @@ class TestAdvanceExpired:
         store.create_slots(erroneous(0.0, 0x40), 0, ref=0)
         removed_at = None
         for step in range(1, 6):
-            advanced, expired = store.advance_expired(1000.0 * step)
-            if expired:
+            assert store.slots_containing(1000.0 * step) == []
+            if not len(store):
                 removed_at = step
                 break
         assert removed_at is not None
-        assert len(store) == 0
 
     def test_seen_arrival_removed_instead_of_advanced(self):
         store = make_store()
         store.create_slots(erroneous(0.0, 0x40), 0, ref=0)
         store.slots_containing(16.0)[0].saw_arrival = True
-        assert store.advance_expired(17.0) == (0, 1)
+        assert store.slots_containing(17.0) == []
         assert len(store) == 0
 
     def test_multi_window_catchup(self):
         # a long silent gap advances a slot through several windows at once
         store = make_store()
         store.create_slots(erroneous(0.0, 0x40), 0, ref=0)
-        advanced, expired = store.advance_expired(50.0)
-        assert advanced == 3
+        assert store.slots_containing(50.0) == []
         (slot,) = store.iter_slots()
         assert slot.step == 4
 
@@ -258,7 +258,7 @@ class TestAdvanceExpired:
         store = make_store(timeout=16)
         store.create_slots(erroneous(0.0, y), 1, ref=0)
         for k in range(rounds):
-            store.advance_expired(20.0 * (k + 1))
+            store.slots_containing(20.0 * (k + 1))
         for slot in store.iter_slots():
             base = (slot.xi - slot.step) % 256
             assert (slot.start, slot.width) == slot_bounds(base, slot.step, 0.0, PARAMS)
@@ -276,7 +276,7 @@ class TestAdvanceExpired:
         store.create_slots(erroneous(0.0, 0x40), 1, ref=7)
         store.create_slots(erroneous(1.0, 0x13), 0, ref=8)
         first = arrive_in_earliest_window(store)
-        store.advance_expired(first.end)
+        assert store.slots_containing(first.end) == []
         assert store.remove_base(7) == 8
         assert len(store) == 1
 
@@ -309,9 +309,9 @@ class TestLeavingAtOwnEnd:
         store = make_store()
         store.create_slots(erroneous(0.0, 0x40), 1, ref=0)
         first = arrive_in_earliest_window(store)
-        store.advance_expired(math.nextafter(first.end, 0.0))
+        assert store.slots_containing(math.nextafter(first.end, 0.0)) == [first]
         assert len(store) == 9
-        assert store.advance_expired(first.end) == (0, 1)
+        assert store.slots_containing(first.end) == []
         assert len(store) == 8
         assert all(s.end > first.end for s in store.iter_slots())
         assert all(s.step == 1 for s in store.iter_slots())
@@ -320,11 +320,11 @@ class TestLeavingAtOwnEnd:
     def test_final_step_candidates_leave_one_by_one(self, timeout):
         store = make_store(timeout=timeout)
         store.create_slots(erroneous(0.0, 0x40), 1, ref=0)
-        store.advance_expired(16.0 * timeout - 8.0)
+        assert store.slots_containing(16.0 * timeout - 8.0) == []
         slots = store.iter_slots()
         assert {s.step for s in slots} == {timeout} and len(slots) == 9
         for end in sorted({s.end for s in slots}):
-            store.advance_expired(end)
+            assert store.slots_containing(end) == []
             assert len(store) == sum(s.end > end for s in slots)
 
     def test_catch_up_into_the_final_step(self):
@@ -336,7 +336,7 @@ class TestLeavingAtOwnEnd:
         now = ends[4]
         gone = sum(end <= now for end in ends)
         assert 0 < gone < 9
-        assert store.advance_expired(now) == (9, gone)
+        assert store.slots_containing(now) == []
         assert len(store) == 9 - gone
         assert all(s.step == 2 and s.end > now for s in store.iter_slots())
 
@@ -364,28 +364,27 @@ _OPS = st.lists(st.one_of(
 
 
 class TestStoreContract:
-    """``slots_containing`` at non-decreasing times, against brute force and a twin.
+    """``slots_containing`` at non-decreasing times, against brute force.
 
-    The twin store calls ``advance_expired(t)`` before each
-    ``slots_containing(t)``, so it takes the sweep and the lookup in two
-    walks instead of one.
+    After every op each live slot is checked against the definitions: its
+    step is within the timeout and its window is the one ``slot_bounds``
+    gives for its base at that step.
     """
 
     @given(st.sampled_from([PARAMS, ProtocolParams(gamma_a=0.02, gamma_b=0.02),
                             ProtocolParams(L=16, t=1.0)]),
            st.sampled_from([1, 3, 10]), _OPS)
     @settings(max_examples=300, deadline=None)
-    def test_one_walk_matches_brute_force_and_two_walks(self, params, timeout, ops):
-        store, twin = SlotStore(params, timeout=timeout), SlotStore(params, timeout=timeout)
+    def test_queries_match_brute_force_and_slot_bounds(self, params, timeout, ops):
+        store = SlotStore(params, timeout=timeout)
         now, refs = 0.0, 0
         for op in ops:
             if op[0] == _CREATE:
                 now += op[1] * params.t
-                pkt = erroneous(now, op[2] % params.L)
-                assert store.create_slots(pkt, op[3], refs) == twin.create_slots(pkt, op[3], refs)
+                store.create_slots(erroneous(now, op[2] % params.L), op[3], refs)
                 refs += 1
             elif op[0] == _REMOVE:
-                assert store.remove_base(op[1]) == twin.remove_base(op[1])
+                store.remove_base(op[1])
             else:
                 if op[0] == _QUERY:
                     now += op[1] * params.t
@@ -395,10 +394,41 @@ class TestStoreContract:
                         slot = live[op[1] % len(live)]
                         now = max(now, slot.start + op[2] * slot.width)
                 hits = store.slots_containing(now)
-                twin.advance_expired(now)
-                assert [s.seq for s in twin.slots_containing(now)] == [s.seq for s in hits]
                 assert sorted(s.seq for s in hits) == [
                     s.seq for s in store.iter_slots() if s.start <= now < s.end]
                 assert all(s.saw_arrival for s in hits)
-            assert len(store) == len(twin) == len(store.iter_slots())
-            assert store.iter_slots() == twin.iter_slots()  # every field of every slot
+            slots = store.iter_slots()
+            assert len(store) == len(slots)
+            for s in slots:
+                assert s.step <= timeout
+                assert (s.start, s.width) == slot_bounds(
+                    (s.xi - s.step) % params.L, s.step, s.base.time, params)
+
+    def _snapshot(self, store):
+        return [copy.copy(s) for s in store.iter_slots()]
+
+    def test_query_before_the_last_one_is_rejected(self):
+        # the skip time would make the earlier query miss the earliest window
+        store = make_store()
+        store.create_slots(erroneous(0.0, 0x40), 1, 0)
+        starts = sorted(s.start for s in store.iter_slots())
+        hits = store.slots_containing(starts[-1])
+        assert hits
+        before = self._snapshot(store)
+        with pytest.raises(TraceOrderError, match="precedes"):
+            store.slots_containing(starts[0])
+        assert len(store) == 9
+        assert store.iter_slots() == before
+        # the same time again still finds its hits
+        assert store.slots_containing(starts[-1]) == hits
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_time_that_is_not_finite_is_rejected(self, bad):
+        store = make_store()
+        store.create_slots(erroneous(0.0, 0x40), 1, 0)
+        before = self._snapshot(store)
+        with pytest.raises(TraceOrderError, match="not finite"):
+            store.slots_containing(bad)
+        assert len(store) == 9
+        assert store.iter_slots() == before
+        assert store.slots_containing(0.0) == []

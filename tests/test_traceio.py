@@ -160,3 +160,19 @@ class TestExperimentConfig:
     def test_non_object_rejected(self):
         with pytest.raises(ConfigError):
             load_experiment_config(io.StringIO("[1, 2]"))
+
+    @pytest.mark.parametrize("out", [True, 7, ["a"], {"path": "a"}])
+    def test_out_must_be_a_string_or_null(self, out):
+        with pytest.raises(ConfigError, match="out must be a path string or null"):
+            load_experiment_config(self.good(out=out))
+
+    def test_absent_or_null_out(self):
+        assert load_experiment_config(self.good())[1] is None
+        assert load_experiment_config(self.good(out=None))[1] is None
+
+    def test_counter_must_fit_the_acc_hex_byte(self):
+        with pytest.raises(ConfigError, match="params.L 512 exceeds 256.*acc_hex"):
+            load_experiment_config(self.good(params={"L": 512}))
+        for L in (16, 256):
+            cfg, _ = load_experiment_config(self.good(params={"L": L}))
+            assert cfg.params.L == L
