@@ -16,7 +16,7 @@ from typing import IO, List, Optional
 from .analytic import mean_qM, qM
 from .engine import ANALYSIS, DEPLOYMENT
 from .simulate import SimConfig, generate_trace, replay, simulate_false_detection, simulate_memory
-from .timing import ProtocolParams
+from .timing import ProtocolParams, check_threshold
 from .traceio import ConfigError, TraceFormatError, load_experiment_config, read_trace, write_trace
 
 EXIT_OK = 0
@@ -33,13 +33,13 @@ class UsageError(ValueError):
 
 def _default_seed() -> int:
     text = os.environ.get(SEED_ENV_VAR, "0")
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {text!r}") from None
+    # int() would also take " 5", "1_000" and non-ASCII digits
+    if not (text.isascii() and text.isdigit()):
+        raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {text!r}")
+    return int(text)
 
 
-def _parse_n_range(text: str) -> List[int]:
+def _parse_n_range(text: str) -> range:
     parts = text.split(":")
     if len(parts) not in (2, 3):
         raise UsageError(f"--n-range must be START:STOP[:STEP], got {text!r}")
@@ -50,7 +50,7 @@ def _parse_n_range(text: str) -> List[int]:
         raise UsageError(f"--n-range components must be integers: {text!r}") from None
     if step < 1 or stop < start or start < 0:
         raise UsageError(f"invalid --n-range {text!r}")
-    return list(range(start, stop + 1, step))
+    return range(start, stop + 1, step)
 
 
 def _parse_acc(text: str) -> Optional[object]:
@@ -80,6 +80,7 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     params = ProtocolParams()
     ns = _parse_n_range(args.n_range)
     acc = _parse_acc(args.acc)
+    check_threshold(args.M, params.L)
     out = _open_out(args.out)
     try:
         writer = csv.writer(out, lineterminator="\n")

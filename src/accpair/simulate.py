@@ -240,6 +240,15 @@ def _false_detection_trial(cfg: SimConfig, base_true_acc: int, rng: np.random.Ge
     ACC bit errors.  ``ProtocolParams.max_timeout`` makes every step-j
     window of the base close before any step-(j+1) window opens, so the
     windows live at the start of pass j are exactly the step-j windows.
+
+    The draws from ``rng`` come in a fixed order, which a recorded digest
+    of the generator state pins.  First the base's bit errors (when
+    epsilon > 0) and its jitter (when jitter > 0).  Then, per step: one
+    Poisson count per merged window, in time order; then, per window with
+    k > 0 arrivals, k uniform offsets and then k ACCs; then the genuine
+    packet's erasure (when p > 0) and, unless it is erased, its jitter and
+    bit errors.  The k draws are sized, so an absurd k fails at once with
+    ``MemoryError`` instead of looping in Python.
     """
     params = cfg.params
     lam = cfg.n / params.t
@@ -253,16 +262,14 @@ def _false_detection_trial(cfg: SimConfig, base_true_acc: int, rng: np.random.Ge
     while engine.live_slots:
         step += 1
         segments = engine.store.windows()
-        durations = np.array([b - a for a, b in segments])
-        counts = rng.poisson(lam * durations)
+        counts = [rng.poisson(lam * (b - a)) for a, b in segments]
 
         events: List[Tuple[float, int, bool]] = []
         for (a, b), k in zip(segments, counts):
             if k:
-                times = a + rng.random(k) * (b - a)
-                accs = rng.integers(0, params.L, k)
-                for tt, aa in zip(times, accs):
-                    events.append((float(tt), int(aa), False))
+                times = rng.random(k).tolist()
+                accs = rng.integers(0, params.L, k).tolist()
+                events.extend((a + u * (b - a), acc, False) for u, acc in zip(times, accs))
         if cfg.p == 0 or rng.random() >= cfg.p:
             t_true = nominal_interval(base_true_acc, step, params)
             if jit > 0:

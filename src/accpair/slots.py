@@ -285,7 +285,7 @@ class SlotStore:
         envelope ends and a query moves it on.
         """
         merged: List[Tuple[float, float]] = []
-        for start, end in sorted((s.start, s.end) for rec in self._by_base.values()
+        for start, end in sorted((s.start, s.start + s.width) for rec in self._by_base.values()
                                  for s in rec.slots):
             if merged and start <= merged[-1][1]:
                 merged[-1] = (merged[-1][0], max(merged[-1][1], end))

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from accpair.cli import EXIT_INTERNAL, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
+from accpair.cli import EXIT_INTERNAL, EXIT_OK, EXIT_PARSE, EXIT_USAGE, _parse_n_range, main
 
 HEADER = "time_s,acc_hex,crc_ok,meter_id,true_acc_hex\n"
 
@@ -40,6 +40,14 @@ class TestAnalytic:
         code, _ = run(tmp_path, "analytic", "--n-range", "oops")
         assert code == EXIT_USAGE
 
+    def test_bad_threshold_writes_nothing(self, tmp_path, capsys):
+        assert run(tmp_path, "analytic", "--M", "9", "--n-range", "0:2") == (EXIT_USAGE, None)
+        assert main(["analytic", "--M", "9", "--n-range", "0:2"]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+    def test_large_range_is_not_materialized(self):
+        assert len(_parse_n_range("1:1000000000000")) == 10**12
+
 
 class TestSimulate:
     def test_fd_reproducible(self, tmp_path):
@@ -71,6 +79,13 @@ class TestSimulate:
         monkeypatch.setenv("ACCPAIR_SEED", "abc")
         code, _ = run(tmp_path, "simulate", "--kind", "fd", "--trials", "10")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("text", [" 5", "5\n", "1_000", "\u0663", "+5", "-3", ""])
+    def test_seed_environment_must_be_ascii_digits(self, tmp_path, monkeypatch, capsys, text):
+        monkeypatch.setenv("ACCPAIR_SEED", text)
+        code, _ = run(tmp_path, "simulate", "--kind", "fd", "--trials", "10")
+        assert code == EXIT_USAGE
+        assert "ACCPAIR_SEED must be an integer" in capsys.readouterr().err
 
 
 class TestReplay:

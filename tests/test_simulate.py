@@ -209,6 +209,10 @@ FD_DIGEST_SETTINGS = (
     SimConfig(params=REPRO, n=40, M=1, timeout=1, rng_seed=6),
 )
 
+#: Trials per setting of the draw digest: fewer than the outcome digest's,
+#: so that it stays fast with the added n=20000 setting.
+RNG_DIGEST_TRIALS = 200
+
 
 def test_false_detection_outcomes_match_recorded_digest():
     # every trial's outcome, drawn as simulate_false_detection draws it
@@ -221,6 +225,20 @@ def test_false_detection_outcomes_match_recorded_digest():
         assert 0 < sum(outcomes) < len(outcomes)
         digest.update(outcomes)
     assert digest.hexdigest() == "6312518d6747a49808c7274913ae0863caae85ca5172b4a33c424f559a95f760"
+
+
+def test_false_detection_draws_match_recorded_digest():
+    # the generator state after every trial pins what a trial draws and in
+    # which order, not just the outcome; at n=20000, M=1 most merged windows
+    # draw two or more interferers
+    settings = FD_DIGEST_SETTINGS + (SimConfig(n=20000, M=1, epsilon=1 / 32, rng_seed=7),)
+    digest = hashlib.sha256()
+    for cfg in settings:
+        for i in range(RNG_DIGEST_TRIALS):
+            rng = _trial_rng(cfg.rng_seed, i)
+            outcome = _false_detection_trial(cfg, i % cfg.params.L, rng)
+            digest.update(repr((outcome, rng.bit_generator.state)).encode())
+    assert digest.hexdigest() == "42a4bde957d1e23571543da02bcc8d092536a9e502ef7ef31f7cc13c5e691d49"
 
 
 class TestSimulateMemory:
