@@ -209,10 +209,6 @@ FD_DIGEST_SETTINGS = (
     SimConfig(params=REPRO, n=40, M=1, timeout=1, rng_seed=6),
 )
 
-#: Trials per setting of the draw digest: fewer than the outcome digest's,
-#: so that it stays fast with the added n=20000 setting.
-RNG_DIGEST_TRIALS = 200
-
 
 def test_false_detection_outcomes_match_recorded_digest():
     # every trial's outcome, drawn as simulate_false_detection draws it
@@ -230,11 +226,11 @@ def test_false_detection_outcomes_match_recorded_digest():
 def test_false_detection_draws_match_recorded_digest():
     # the generator state after every trial pins what a trial draws and in
     # which order, not just the outcome; at n=20000, M=1 most merged windows
-    # draw two or more interferers
+    # draw two or more interferers.  200 trials per setting keep it fast.
     settings = FD_DIGEST_SETTINGS + (SimConfig(n=20000, M=1, epsilon=1 / 32, rng_seed=7),)
     digest = hashlib.sha256()
     for cfg in settings:
-        for i in range(RNG_DIGEST_TRIALS):
+        for i in range(200):
             rng = _trial_rng(cfg.rng_seed, i)
             outcome = _false_detection_trial(cfg, i % cfg.params.L, rng)
             digest.update(repr((outcome, rng.bit_generator.state)).encode())
