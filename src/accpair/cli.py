@@ -31,12 +31,23 @@ class UsageError(ValueError):
     pass
 
 
+# argparse names a type= function in its errors: "invalid integer value"
+def integer(text: str, base: int = 10) -> int:
+    """``int(text, base)`` of ASCII text only: non-ASCII digits, ``_``
+    separators and surrounding whitespace, which int() also takes, raise."""
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text, base)
+
+
 def _default_seed() -> int:
     text = os.environ.get(SEED_ENV_VAR, "0")
-    # int() would also take " 5", "1_000" and non-ASCII digits
-    if not (text.isascii() and text.isdigit()):
-        raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {text!r}")
-    return int(text)
+    if text[:1].isdigit():  # a seed is unsigned, so "+5", "-3" and "" are refused
+        try:
+            return integer(text)
+        except ValueError:
+            pass
+    raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {text!r}")
 
 
 def _parse_n_range(text: str) -> range:
@@ -44,8 +55,8 @@ def _parse_n_range(text: str) -> range:
     if len(parts) not in (2, 3):
         raise UsageError(f"--n-range must be START:STOP[:STEP], got {text!r}")
     try:
-        start, stop = int(parts[0]), int(parts[1])
-        step = int(parts[2]) if len(parts) == 3 else 1
+        start, stop = integer(parts[0]), integer(parts[1])
+        step = integer(parts[2]) if len(parts) == 3 else 1
     except ValueError:
         raise UsageError(f"--n-range components must be integers: {text!r}") from None
     if step < 1 or stop < start or start < 0:
@@ -57,7 +68,7 @@ def _parse_acc(text: str) -> Optional[object]:
     if text in ("all", "mean"):
         return text
     try:
-        value = int(text, 0)
+        value = integer(text, 0)
     except ValueError:
         raise UsageError(f"--acc must be 'all', 'mean' or a byte value, got {text!r}") from None
     if not 0 <= value < 256:
@@ -174,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analytic", help="closed-form false-detection sweep")
-    p.add_argument("--M", type=int, default=0, help="pairing threshold in bits")
+    p.add_argument("--M", type=integer, default=0, help="pairing threshold in bits")
     p.add_argument("--n-range", required=True, help="meter counts START:STOP[:STEP]")
     p.add_argument("--acc", default="mean", help="'mean', 'all', or a base ACC byte")
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
@@ -184,19 +195,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["fd", "memory"], required=True)
     p.add_argument("--epsilon", type=float, default=0.0)
     p.add_argument("--p", type=float, default=0.0)
-    p.add_argument("--M", type=int, default=0)
-    p.add_argument("--n", type=int, default=200)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--M", type=integer, default=0)
+    p.add_argument("--n", type=integer, default=200)
+    p.add_argument("--trials", type=integer, default=1000)
     p.add_argument("--horizon", type=float, default=600.0, help="seconds (memory runs)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=integer, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("replay", help="run a trace file through the pairing engine")
     p.add_argument("trace", help="trace CSV path")
-    p.add_argument("--M", type=int, default=0)
+    p.add_argument("--M", type=integer, default=0)
     p.add_argument("--mode", choices=[ANALYSIS, DEPLOYMENT], default=DEPLOYMENT)
-    p.add_argument("--timeout", type=int, default=10)
+    p.add_argument("--timeout", type=integer, default=10)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_replay)
 

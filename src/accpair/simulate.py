@@ -3,19 +3,24 @@ synthetic trace generation and trace replay.
 
 All randomness flows through per-trial substreams derived from a single
 seed, so trials are reproducible independently of execution order.
+
+numpy is imported inside the functions that draw or summarise with it, not
+at module level: ``import accpair``, ``analytic`` and ``replay`` never use
+it, and loading it would be most of their start-up time and memory.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .engine import ANALYSIS, DEPLOYMENT, PairingEngine
 from .slots import PacketArrival
 from .timing import ProtocolParams, check_acc, check_threshold, nominal_interval
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Bit count of the modeled non-ACC packet remainder; a CRC failure can be
 #: caused by any of these bits even when the ACC itself survives.
@@ -77,6 +82,8 @@ class SimConfig:
             return self.body_error_prob
         if not 0 < self.epsilon < 1:  # log1p(-1) warns; 1 - (1 - eps)**BODY_BITS is eps
             return float(self.epsilon)
+        import numpy as np
+
         return -np.expm1(BODY_BITS * np.log1p(-self.epsilon))
 
 
@@ -121,6 +128,8 @@ class SimReport:
 
 
 def _trial_rng(seed: int, index: int) -> np.random.Generator:
+    import numpy as np
+
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
@@ -308,7 +317,7 @@ def simulate_false_detection(cfg: SimConfig) -> SimReport:
     return SimReport(
         trials=cfg.trials,
         fd_rate=rate,
-        fd_std_error=float(np.sqrt(rate * (1.0 - rate) / cfg.trials)),
+        fd_std_error=math.sqrt(rate * (1.0 - rate) / cfg.trials),
     )
 
 
@@ -323,6 +332,8 @@ def simulate_memory(cfg: SimConfig) -> SimReport:
     engine; every arrival creates slots, mirroring how receiver memory is
     provisioned in the field.
     """
+    import numpy as np
+
     per_trial: List[float] = []
     for trial in range(cfg.trials):
         rng = _trial_rng(cfg.rng_seed, trial)

@@ -156,6 +156,56 @@ class TestReplay:
         assert code == EXIT_PARSE
 
 
+BAD_INTEGERS = ["\u0663", "1_0", " 5"]
+
+#: (argv, option, its value with {} for the bad text, what stderr must say)
+INTEGER_OPTIONS = [
+    (["analytic", "--n-range", "0:0"], "--M", "{}", "invalid integer value"),
+    (["analytic"], "--n-range", "{}:20", "must be integers"),
+    (["analytic"], "--n-range", "10:{}", "must be integers"),
+    (["analytic"], "--n-range", "10:20:{}", "must be integers"),
+    (["analytic", "--n-range", "0:0"], "--acc", "{}", "or a byte value"),
+    (["simulate", "--kind", "fd", "--trials", "3"], "--M", "{}", "invalid integer value"),
+    (["simulate", "--kind", "fd", "--trials", "3"], "--n", "{}", "invalid integer value"),
+    (["simulate", "--kind", "fd"], "--trials", "{}", "invalid integer value"),
+    (["simulate", "--kind", "fd", "--trials", "3"], "--seed", "{}", "invalid integer value"),
+    (["replay", "TRACE"], "--M", "{}", "invalid integer value"),
+    (["replay", "TRACE"], "--timeout", "{}", "invalid integer value"),
+]
+
+
+class TestIntegerOptions:
+    """Integer options take ASCII digits only, not every spelling int() takes."""
+
+    def exit_code(self, tmp_path, argv):
+        trace = tmp_path / "t.csv"
+        trace.write_text(HEADER + "0.000000000,40,1,m,40\n")
+        argv = [str(trace) if a == "TRACE" else a for a in argv]
+        try:
+            return main([*argv, "--out", str(tmp_path / "out.csv")])
+        except SystemExit as exc:  # argparse rejects a bad type= value
+            return exc.code
+
+    @pytest.mark.parametrize("bad", BAD_INTEGERS)
+    @pytest.mark.parametrize("argv,option,value,message", INTEGER_OPTIONS)
+    def test_rejected_without_output(self, tmp_path, capsys, argv, option, value, message, bad):
+        assert self.exit_code(tmp_path, [*argv, option, value.format(bad)]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("acc", ["0x4_0", " 64 ", "64\n"])
+    def test_acc_rejected_without_output(self, tmp_path, capsys, acc):
+        argv = ["analytic", "--n-range", "0:0", "--acc", acc]
+        assert self.exit_code(tmp_path, argv) == EXIT_USAGE
+        assert "or a byte value" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_hex_acc_still_accepted(self, tmp_path):
+        _, hexa = run(tmp_path, "analytic", "--n-range", "10:10", "--acc", "0x40")
+        _, decimal = run(tmp_path, "analytic", "--n-range", "10:10", "--acc", "64")
+        assert hexa == decimal == "n,acc,q\n10,40,6.054669170417e-06\n"
+
+
 class TestInternalError:
     def test_any_other_exception_exits_4_without_traceback(self, tmp_path, monkeypatch, capsys):
         trace = tmp_path / "t.csv"
