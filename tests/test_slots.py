@@ -109,6 +109,16 @@ class TestCreateSlots:
         assert by_xi[0x41].start == by_xi[0xC1].start
         assert by_xi[0x41].width == by_xi[0xC1].width
 
+    @pytest.mark.parametrize("acc", [-1, 256])
+    def test_acc_outside_the_range_is_rejected_without_change(self, acc):
+        store = make_store()
+        store.create_slots(erroneous(0.0, 0x40), 1, ref=0)
+        before = copy.deepcopy(store.iter_slots())
+        with pytest.raises(ValueError, match="outside 0..255"):
+            store.create_slots(erroneous(1.0, acc), 1, ref=1)
+        assert len(store) == 9
+        assert store.iter_slots() == before
+
     def test_slots_carry_the_given_ref_and_base(self):
         store = make_store()
         pkt = erroneous(0.0, 0x40)

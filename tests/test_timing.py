@@ -1,10 +1,12 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from accpair.analytic import qM
 from accpair.engine import PairingEngine
 from accpair.simulate import SimConfig, generate_trace, replay
 from accpair.timing import (
@@ -16,6 +18,7 @@ from accpair.timing import (
     lead_time,
     nominal_interval,
     slot_bounds,
+    window_row,
 )
 
 PARAMS = ProtocolParams()
@@ -234,43 +237,40 @@ class TestSlotBounds:
             assert lo_start + lo_width < hi_start
 
 
-class TestWindowTable:
+class TestWindowRow:
     @pytest.mark.parametrize("params", [
         ProtocolParams(),
         ProtocolParams(delta_map=tuple(-16.0 * (s - 64) / 2048.0 for s in range(129))),
         ProtocolParams(gamma_a=0.02, gamma_b=0.02),
     ], ids=["default", "reversed", "gamma"])
-    def test_entries_are_the_uncached_windows(self, params):
-        steps = range(1, min(params.max_timeout, 20) + 1)
-        for x in range(params.L):
-            for j in steps:
-                start, width = slot_bounds(x, j, 5.0, params)
-                tnom, theta, tau = _window(x, j, params)
-                assert (start, width) == (5.0 + tnom - theta, tau)
-        assert set(params.window_table) == {(x, j) for x in range(params.L) for j in steps}
-        for (x, j), window in params.window_table.items():
-            assert window == _window(x, j, params)
+    def test_rows_are_the_uncached_windows(self, params):
+        for j in range(1, min(params.max_timeout, 20) + 1):
+            row = window_row(params, j)
+            assert row == tuple(_window(x, j, params) for x in range(params.L))
+            for x, (tnom, theta, tau) in enumerate(row):
+                assert slot_bounds(x, j, 5.0, params) == (5.0 + tnom - theta, tau)
 
-    def test_argument_checks_survive_a_filled_table(self):
+    def test_argument_checks_survive_cached_rows(self):
         params = ProtocolParams()
         assert lead_time(0x40, 0, params) == params.gamma_a
         replay(generate_trace(SimConfig(params=params, n=3, epsilon=1 / 16, horizon=100.0)),
                SimConfig(params=params, M=1))
         slot_bounds(1, 1, 0.0, params)
-        assert {(0x40, 0), (1, 1)} < set(params.window_table)
         with pytest.raises(ValueError, match="step must be >= 1"):
             slot_bounds(0x40, 0, 0.0, params)
-        # keys equal to a cached (x, j) that are not a plain int ACC
+        # values equal to a cached ACC or step that are not a plain int ACC
         for x in (256, -1, True, 1.0):
             with pytest.raises(ValueError, match="outside 0..255"):
                 slot_bounds(x, 1, 0.0, params)
         with pytest.raises(TypeError):
             slot_bounds(1, 1.0, 0.0, params)
 
-    def test_equality_and_hash_ignore_the_table(self):
-        filled, fresh = ProtocolParams(), ProtocolParams()
-        slot_bounds(0x40, 3, 0.0, filled)
-        assert filled.window_table and not fresh.window_table
-        assert filled == fresh
-        assert hash(filled) == hash(fresh)
-        assert repr(filled) == repr(fresh)
+    def test_geometry_calls_leave_the_params_as_they_were(self):
+        params = ProtocolParams()
+        before = dict(vars(params))
+        replay(generate_trace(SimConfig(params=params, n=3, epsilon=1 / 16, horizon=100.0)),
+               SimConfig(params=params, M=1))
+        slot_bounds(0x40, 3, 0.0, params)
+        qM(0x40, 1, 200, params)
+        assert vars(params) == before
+        assert set(vars(params)) == {f.name for f in fields(params)} | {"intervals", "max_timeout"}

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from accpair.simulate import SimConfig, generate_trace
+from accpair.slots import PacketArrival
 from accpair.traceio import (
     ConfigError,
     TraceFormatError,
@@ -70,6 +71,18 @@ class TestTraceParsing:
             parse(HEADER + f"1.0,{text},1,,\n")
         with pytest.raises(TraceFormatError, match="true_acc_hex must be two hex digits"):
             parse(HEADER + f"1.0,40,1,m,{text}\n")
+
+    @pytest.mark.parametrize("text", ["1_0.5", " 33 ", "33\t", "\u0663\u0663", "1.5\u00a0"])
+    def test_time_admits_no_underscore_space_or_non_ascii(self, text):
+        with pytest.raises(TraceFormatError, match="line 3: bad time"):
+            parse(HEADER + f"1.0,40,1,,\n{text},41,1,,\n")
+
+    def test_time_keeps_sign_exponent_and_written_digits(self):
+        trace = [PacketArrival(time=t, acc=0x40, erroneous=False) for t in (-2.5, 0.1, 1e3)]
+        buf = io.StringIO()
+        write_trace(buf, trace)
+        assert [p.time for p in parse(buf.getvalue())] == [-2.5, 0.1, 1e3]
+        assert [p.time for p in parse(HEADER + "-1e1,40,1,,\n+.5,41,1,,\n")] == [-10.0, 0.5]
 
     def test_hex_either_case(self):
         assert [p.acc for p in parse(HEADER + "1.0,aB,1,,\n2.0,Ff,1,,\n")] == [0xAB, 0xFF]
