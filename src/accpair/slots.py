@@ -13,23 +13,27 @@ candidate whose window has ended can therefore wait for its base's
 envelope to end before moving to the next step: until then its next
 window cannot hold an arrival, and its own ended window holds none either.
 So a record is touched only once its envelope has ended, and then advanced
-as a whole.  Candidates that leave instead of advancing, because their
-window held an arrival or because they are at the final step, must leave
-at their own window end for ``len(store)`` to stay exact; a small heap of
-``(end, seq, slot)`` holds just those.
+as a whole.
 
 Each query walks that prefix once.  A record whose envelope has ended is
 swept and re-indexed (so it is met again if its next envelope has begun);
-an open one is scanned for windows holding the query time; the heap is
-drained after the walk.  An open record's windows are narrow next to its
-envelope, so it keeps a skip time before which none of them holds a time:
-its envelope start when created or swept, then after each scan the query
-time if a window holds it, else the earliest later window start.  The walk
-passes a record whose skip time is still ahead with one comparison.  That
-is exact only because query times never decrease: the query, the one
-method that moves the store's time, raises ``TraceOrderError`` on a time
-that is not finite or precedes the last query's.  A base may be created at
-any time, as its skip time starts at its envelope start.
+an open one is scanned for windows holding the query time.  An open
+record's windows are narrow next to its envelope, so it keeps a skip time
+before which none of them holds a time: its envelope start when created or
+swept, then after each scan the query time if a window holds it, else the
+earliest later window start.  The walk passes a record whose skip time is
+still ahead with one comparison.  That is exact only because query times
+never decrease: the query, the one method that moves the store's time,
+raises ``TraceOrderError`` on a time that is not finite or precedes the
+last query's.  A base may be created at any time, as its skip time starts
+at its envelope start.
+
+Candidates that leave instead of advancing, because their window held an
+arrival or because they are at the final step, leave at their own window
+end, so that ``len(store)`` stays exact; the scan drops them.  That takes
+no other expiry path: a skip time is never later than the query after a
+hit, nor than any window start still ahead, so a record is scanned (or
+swept) at the first query at or after each of its windows ends.
 """
 
 from __future__ import annotations
@@ -38,10 +42,9 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import lru_cache
-from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
-# slot_bounds is not called here, but perfbench's tracer wraps it under this name
+# slot_bounds is not called here, but perfbench's tracer test reads it under this name
 from .timing import ProtocolParams, check_acc, hamming_ball, slot_bounds, window_row  # noqa: F401
 
 
@@ -128,8 +131,6 @@ class SlotStore:
         # so no comparison ever reaches the record itself
         self._by_start: List[Tuple[float, int, _Base]] = []
         self._by_base: Dict[int, _Base] = {}
-        # (end, seq, slot) of candidates that leave at their own window end
-        self._leaving: List[Tuple[float, int, VirtualSlot]] = []
         self._live = 0
         self._next_seq = 0
         self._now = -math.inf  # time of the last query
@@ -168,9 +169,6 @@ class SlotStore:
             if start + width > hi:
                 hi = start + width
         self._next_seq = seq
-        if self.timeout == 1:
-            for slot in slots:
-                heappush(self._leaving, (slot.end, slot.seq, slot))
         rec = self._by_base[ref] = _Base(slots, lo, hi, lo)
         insort(self._by_start, (lo, ref, rec))
         self._live += len(slots)
@@ -181,7 +179,10 @@ class SlotStore:
         rec = self._by_base.pop(base_ref, None)
         if rec is None:
             return 0
-        self._unindex(base_ref, rec)
+        # (start, ref) sorts just before its own (start, ref, rec) entry
+        i = bisect_left(self._by_start, (rec.start, base_ref))
+        assert self._by_start[i][2] is rec
+        del self._by_start[i]
         self._live -= len(rec.slots)
         return len(rec.slots)
 
@@ -215,7 +216,10 @@ class SlotStore:
                 if time < rec.skip:
                     continue
                 skip = math.inf
-                for slot in rec.slots:
+                slots = rec.slots
+                final = slots[0].step == timeout
+                gone = 0
+                for slot in slots:
                     start = slot.start
                     if start > time:
                         if start < skip:
@@ -223,11 +227,21 @@ class SlotStore:
                     elif time < start + slot.width:  # slot.end, inlined
                         skip = time
                         hits.append(slot)
-                        if not slot.saw_arrival:
-                            slot.saw_arrival = True
-                            if slot.step < timeout:
-                                heappush(self._leaving, (start + slot.width, slot.seq, slot))
+                        slot.saw_arrival = True
+                    elif final or slot.saw_arrival:
+                        gone += 1
                 rec.skip = skip
+                if gone:
+                    # a window that ended by now holds no hit, so dropping
+                    # it leaves every skip time a lower bound
+                    expired += gone
+                    rec.slots = [slot for slot in slots if time < slot.start + slot.width
+                                 or not (final or slot.saw_arrival)]
+                    if not rec.slots:
+                        i -= 1
+                        n -= 1
+                        del self._by_base[by_start[i][1]]
+                        del by_start[i]
                 continue
             ref = by_start[i][1]
             del by_start[i]
@@ -249,8 +263,6 @@ class SlotStore:
                 start = slot.base.time + tnom - theta
                 slot.start = start
                 slot.width = width
-                if step == timeout:
-                    heappush(self._leaving, (start + width, slot.seq, slot))
                 if start < lo:
                     lo = start
                 if start + width > hi:
@@ -261,33 +273,16 @@ class SlotStore:
             insort(by_start, (lo, ref, rec), i)
             if lo <= time:
                 n += 1
-        # a slot that leaves here has a window that ended by now, so it is
-        # no hit, and dropping it leaves every skip time a lower bound
-        leaving = self._leaving
-        while leaving and leaving[0][0] <= time:
-            slot = heappop(leaving)[2]
-            rec = self._by_base.get(slot.base_ref)
-            if rec is None:  # its base paired or the sweep dropped it
-                continue
-            # found by identity, since equal dataclasses need not be the same slot
-            for k, s in enumerate(rec.slots):
-                if s is slot:
-                    break
-            else:
-                continue
-            del rec.slots[k]
-            expired += 1
-            if not rec.slots:
-                del self._by_base[slot.base_ref]
-                self._unindex(slot.base_ref, rec)
         self._live -= expired
         return hits
 
     def windows(self) -> List[Tuple[float, float]]:
         """Live windows, merged where they overlap or touch, as (start, end) in time order.
 
-        A slot whose window has ended keeps it here until its base's
-        envelope ends and a query moves it on.
+        A slot that saw an arrival or sits at the final step leaves at the
+        first query at or after its window end; any other slot whose window
+        has ended keeps it here until its base's envelope ends and a query
+        moves it on.
         """
         merged: List[Tuple[float, float]] = []
         for start, end in sorted((s.start, s.start + s.width) for rec in self._by_base.values()
@@ -297,11 +292,3 @@ class SlotStore:
             else:
                 merged.append((start, end))
         return merged
-
-    # -- internals --------------------------------------------------------
-
-    def _unindex(self, ref: int, rec: _Base) -> None:
-        # (start, ref) sorts just before its own (start, ref, rec) entry
-        i = bisect_left(self._by_start, (rec.start, ref))
-        assert self._by_start[i][2] is rec
-        del self._by_start[i]

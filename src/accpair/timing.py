@@ -157,7 +157,9 @@ def _window(x: int, j: int, params: ProtocolParams) -> Tuple[float, float, float
     return tnom, theta, tau
 
 
-@lru_cache(maxsize=None)
+# a row is about 36 KB at L=256, so 256 rows stay under 10 MB; 256 is 16x the
+# default max_timeout, so a run over a few params evicts none of their rows
+@lru_cache(maxsize=256)
 def window_row(params: ProtocolParams, j: int) -> Tuple[Tuple[float, float, float], ...]:
     """``_window(x, j, params)`` of each ACC ``x``; add ``t_base + tnom - theta`` in that order."""
     return tuple(_window(x, j, params) for x in range(params.L))

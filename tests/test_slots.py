@@ -378,7 +378,8 @@ class TestStoreContract:
 
     After every op each live slot is checked against the definitions: its
     step is within the timeout and its window is the one ``slot_bounds``
-    gives for its base at that step.
+    gives for its base at that step.  After every query, no slot that saw an
+    arrival or sits at the final step has a window that ended by then.
     """
 
     @given(st.sampled_from([PARAMS, ProtocolParams(gamma_a=0.02, gamma_b=0.02),
@@ -407,6 +408,9 @@ class TestStoreContract:
                 assert sorted(s.seq for s in hits) == [
                     s.seq for s in store.iter_slots() if s.start <= now < s.end]
                 assert all(s.saw_arrival for s in hits)
+                # seen and final-step slots leave at the first query at or after their end
+                assert all(s.end > now for s in store.iter_slots()
+                           if s.saw_arrival or s.step == timeout)
             slots = store.iter_slots()
             assert len(store) == len(slots)
             for s in slots:

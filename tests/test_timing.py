@@ -250,6 +250,18 @@ class TestWindowRow:
             for x, (tnom, theta, tau) in enumerate(row):
                 assert slot_bounds(x, j, 5.0, params) == (5.0 + tnom - theta, tau)
 
+    def test_cache_is_bounded_and_rebuilds_evicted_rows(self):
+        first = ProtocolParams(t=16.0)
+        row = window_row(first, 1)
+        for i in range(200):
+            params = ProtocolParams(t=16.0 + (i + 1) * 1e-3)
+            for j in range(1, 11):
+                window_row(params, j)
+        assert window_row.cache_info().currsize <= 256
+        rebuilt = window_row(first, 1)
+        assert rebuilt is not row
+        assert rebuilt == row
+
     def test_argument_checks_survive_cached_rows(self):
         params = ProtocolParams()
         assert lead_time(0x40, 0, params) == params.gamma_a
