@@ -8,13 +8,14 @@ error (any other exception, reported without a traceback).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import sys
-from typing import IO, List, Optional
+from typing import IO, Iterator, List, Optional
 
 from .analytic import mean_qM, qM
-from .engine import ANALYSIS, DEPLOYMENT
+from .engine import ANALYSIS, DEPLOYMENT, PairingEngine
 from .simulate import SimConfig, generate_trace, replay, simulate_false_detection, simulate_memory
 from .timing import ProtocolParams, check_threshold
 from .traceio import ConfigError, TraceFormatError, load_experiment_config, plain_number
@@ -80,15 +81,14 @@ def _parse_acc(text: str) -> Optional[object]:
     return value
 
 
-def _open_out(path: Optional[str]) -> IO[str]:
+@contextlib.contextmanager
+def _output(path: Optional[str]) -> Iterator[IO[str]]:
+    """The file at ``path`` opened for CSV and closed on exit, or stdout for None or "-"."""
     if path is None or path == "-":
-        return sys.stdout
-    return open(path, "w", encoding="utf-8", newline="")
-
-
-def _close_out(out: IO[str]) -> None:
-    if out is not sys.stdout:
-        out.close()
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="") as out:
+        yield out
 
 
 def cmd_analytic(args: argparse.Namespace) -> int:
@@ -96,8 +96,7 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     ns = _parse_n_range(args.n_range)
     acc = _parse_acc(args.acc)
     check_threshold(args.M, params.L)
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["n", "acc", "q"])
         for n in ns:
@@ -108,8 +107,6 @@ def cmd_analytic(args: argparse.Namespace) -> int:
                     writer.writerow([n, f"{y:02x}", f"{qM(y, args.M, n, params):.12e}"])
             else:
                 writer.writerow([n, f"{acc:02x}", f"{qM(acc, args.M, n, params):.12e}"])
-    finally:
-        _close_out(out)
     return EXIT_OK
 
 
@@ -129,30 +126,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         report = simulate_memory(cfg)
         estimate, se = report.memory_per_meter, report.memory_std_error
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["kind", "n", "M", "epsilon", "p", "trials", "estimate", "std_error"])
         writer.writerow(
             [args.kind, args.n, args.M, f"{args.epsilon:g}", f"{args.p:g}",
              report.trials, f"{estimate:.9e}", f"{se:.9e}"]
         )
-    finally:
-        _close_out(out)
     return EXIT_OK
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
+    # built first, so a bad --M or --timeout is reported before the trace is read
+    engine = PairingEngine(M=args.M, policy=args.mode, timeout=args.timeout)
     with open(args.trace, "r", encoding="utf-8", newline="") as fh:
         trace = read_trace(fh)
-    cfg = SimConfig(
-        M=args.M,
-        slot_policy=args.mode,
-        timeout=args.timeout,
-    )
-    report = replay(trace, cfg)
-    out = _open_out(args.out)
-    try:
+    report = replay(trace, engine)
+    with _output(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["step", "cc", "ce", "ec", "ee", "ee_false", "fd_percent"])
         if trace:
@@ -163,8 +153,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
                     )
                 else:
                     writer.writerow([sc.step, sc.cc, sc.ce, sc.ec, sc.ee, "", ""])
-    finally:
-        _close_out(out)
     return EXIT_OK
 
 
@@ -173,11 +161,8 @@ def cmd_gentrace(args: argparse.Namespace) -> int:
         cfg, cfg_out = load_experiment_config(fh)
     path = args.out if args.out is not None else cfg_out
     trace = generate_trace(cfg)
-    out = _open_out(path)
-    try:
+    with _output(path) as out:
         write_trace(out, trace)
-    finally:
-        _close_out(out)
     return EXIT_OK
 
 

@@ -71,8 +71,10 @@ class PairingEngine:
     A slot whose window contained an arrival that did not pair is dropped
     when the window ends instead of advancing to the next step.
 
-    Arrivals are numbered in processing order; ``PairingOutcome`` carries
-    those numbers and the caller's packets are never modified.
+    Arrivals are numbered in processing order from 0; ``PairingOutcome``
+    carries those numbers, ``arrivals`` counts the arrivals accepted so
+    far, and the caller's packets are never modified.  ``store.peak`` is
+    the most slots ever live at once.
     """
 
     def __init__(
@@ -88,7 +90,7 @@ class PairingEngine:
         self.M = check_threshold(M, self.params.L)
         self.policy = policy
         self.store = SlotStore(self.params, timeout=timeout)
-        self._next_ref = 0
+        self.arrivals = 0
 
     def on_arrival(self, pkt: PacketArrival) -> PairingOutcome:
         """Process one arrival and decide pair / no-pair.
@@ -103,8 +105,8 @@ class PairingEngine:
         """
         check_acc(pkt.acc, self.params.L)
         candidates = self.store.slots_containing(pkt.time)
-        ref = self._next_ref
-        self._next_ref += 1
+        ref = self.arrivals
+        self.arrivals += 1
 
         best: Optional[VirtualSlot] = None
         best_key = None

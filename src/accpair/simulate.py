@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 from .engine import ANALYSIS, DEPLOYMENT, PairingEngine
 from .slots import PacketArrival
@@ -37,9 +37,8 @@ class SimConfig:
     epsilon: float = 0.0          # per-bit error probability on received ACCs
     p: float = 0.0                # packet erasure probability
     trials: int = 1000
-    horizon: float = 600.0        # seconds of trace generate_trace makes; replay ignores it
+    horizon: float = 600.0        # seconds of trace generate_trace makes
     timeout: int = 10             # maximum virtual-slot step count
-    slot_policy: str = ANALYSIS
     emission_jitter: float = 0.0  # half-range of per-packet send-time jitter
     rng_seed: int = 0
     body_error_prob: Optional[float] = None
@@ -73,8 +72,6 @@ class SimConfig:
             )
         if self.body_error_prob is not None and not 0.0 <= self.body_error_prob <= 1.0:
             raise ValueError(f"body_error_prob must be in [0, 1], got {self.body_error_prob}")
-        if self.slot_policy not in (ANALYSIS, DEPLOYMENT):
-            raise ValueError(f"unknown slot policy {self.slot_policy!r}")
 
     @property
     def effective_body_error_prob(self) -> float:
@@ -119,7 +116,6 @@ class SimReport:
     memory_per_meter: Optional[float] = None
     memory_std_error: Optional[float] = None
     per_step: Optional[List[StepCounts]] = None
-    arrivals: int = 0
     truth_available: bool = False
 
     @property
@@ -195,20 +191,20 @@ def generate_trace(cfg: SimConfig, rng: Optional[np.random.Generator] = None) ->
     return arrivals
 
 
-def replay(trace: Sequence[PacketArrival], cfg: SimConfig) -> SimReport:
-    """Run a time-sorted trace through the pairing engine and tabulate.
+def replay(trace: Iterable[PacketArrival], engine: PairingEngine) -> SimReport:
+    """Run a time-sorted trace through the caller's engine and tabulate.
 
-    Produces per-step class counts plus false-detection statistics when
-    every pairing carried ground truth.
+    Produces per-step class counts, one row per step up to the engine's
+    timeout, plus false-detection statistics when every pairing carried
+    ground truth.  The engine keeps its own counts: ``engine.arrivals``
+    for the arrivals it accepted and ``engine.store.peak`` for the most
+    slots live at once.
     """
-    engine = PairingEngine(cfg.params, M=cfg.M, policy=cfg.slot_policy, timeout=cfg.timeout)
-    steps = [StepCounts(step=k) for k in range(1, cfg.timeout + 1)]
-    arrivals = 0
+    steps = [StepCounts(step=k) for k in range(1, engine.store.timeout + 1)]
     pairs = 0
     pairs_with_truth = 0
     for pkt in trace:
         out = engine.on_arrival(pkt)
-        arrivals += 1
         if out.kind != "pair":
             continue
         pairs += 1
@@ -230,7 +226,6 @@ def replay(trace: Sequence[PacketArrival], cfg: SimConfig) -> SimReport:
     return SimReport(
         trials=1,
         per_step=steps,
-        arrivals=arrivals,
         truth_available=pairs > 0 and pairs_with_truth == pairs,
     )
 
@@ -328,23 +323,19 @@ def simulate_false_detection(cfg: SimConfig) -> SimReport:
 def simulate_memory(cfg: SimConfig) -> SimReport:
     """Average maximum number of simultaneously live slots per meter.
 
-    Full transmission schedules of all meters are replayed through the
-    engine; every arrival creates slots, mirroring how receiver memory is
-    provisioned in the field.
+    Full transmission schedules of all meters are replayed through a
+    ``DEPLOYMENT`` engine, so every arrival creates slots, mirroring how
+    receiver memory is provisioned in the field; a trial's maximum is the
+    store's ``peak``.
     """
     import numpy as np
 
     per_trial: List[float] = []
     for trial in range(cfg.trials):
         rng = _trial_rng(cfg.rng_seed, trial)
-        trace = generate_trace(cfg, rng)
         engine = PairingEngine(cfg.params, M=cfg.M, policy=DEPLOYMENT, timeout=cfg.timeout)
-        peak = 0
-        for pkt in trace:
-            engine.on_arrival(pkt)
-            if engine.live_slots > peak:
-                peak = engine.live_slots
-        per_trial.append(peak / cfg.n if cfg.n else 0.0)
+        replay(generate_trace(cfg, rng), engine)
+        per_trial.append(engine.store.peak / cfg.n if cfg.n else 0.0)
     mean = float(np.mean(per_trial))
     se = float(np.std(per_trial, ddof=1) / np.sqrt(len(per_trial))) if len(per_trial) > 1 else 0.0
     return SimReport(

@@ -116,7 +116,10 @@ class _Base:
 
 
 class SlotStore:
-    """Time-indexed container of live virtual slots for one receiver."""
+    """Time-indexed container of live virtual slots for one receiver.
+
+    ``peak`` is the largest ``len(store)`` so far; only ``create_slots`` raises it.
+    """
 
     def __init__(self, params: ProtocolParams, timeout: int = 10) -> None:
         if not isinstance(timeout, int) or isinstance(timeout, bool) or timeout < 1:
@@ -132,6 +135,7 @@ class SlotStore:
         self._by_start: List[Tuple[float, int, _Base]] = []
         self._by_base: Dict[int, _Base] = {}
         self._live = 0
+        self.peak = 0
         self._next_seq = 0
         self._now = -math.inf  # time of the last query
 
@@ -172,6 +176,8 @@ class SlotStore:
         rec = self._by_base[ref] = _Base(slots, lo, hi, lo)
         insort(self._by_start, (lo, ref, rec))
         self._live += len(slots)
+        if self._live > self.peak:
+            self.peak = self._live
         return len(slots)
 
     def remove_base(self, base_ref: int) -> int:

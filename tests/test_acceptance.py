@@ -179,9 +179,10 @@ def test_criterion_9_per_step_trend():
     for run in range(runs):
         cfg = SimConfig(
             n=53, M=0, epsilon=1 / 32, horizon=1800.0, timeout=10,
-            rng_seed=100 + run, slot_policy=DEPLOYMENT,
+            rng_seed=100 + run,
         )
-        rep = replay(generate_trace(cfg), cfg)
+        engine = PairingEngine(cfg.params, M=cfg.M, policy=DEPLOYMENT, timeout=cfg.timeout)
+        rep = replay(generate_trace(cfg), engine)
         for sc in rep.per_step:
             false_by_step[sc.step - 1] += sc.false_pairs
             pairs_by_step[sc.step - 1] += sc.pairings

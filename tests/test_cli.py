@@ -123,6 +123,21 @@ class TestReplay:
         code, _ = run(tmp_path, "replay", str(trace), "--timeout", "7000")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("option, message", [
+        (["--M", "9"], "threshold M must be an integer in 0..8, got 9"),
+        (["--timeout", "0"], "timeout must be an integer >= 1, got 0"),
+    ], ids=["M", "timeout"])
+    @pytest.mark.parametrize("rows", ["1.0,zz,1,,\n", None, "0.0,40,1,m,40\n"],
+                             ids=["malformed", "missing", "valid"])
+    def test_option_error_is_reported_before_the_trace_is_read(self, tmp_path, capsys,
+                                                               option, message, rows):
+        trace = tmp_path / "t.csv"
+        if rows is not None:
+            trace.write_text(HEADER + rows)
+        code, text = run(tmp_path, "replay", str(trace), *option)
+        assert (code, text) == (EXIT_USAGE, None)
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_parse_failure_exit_code(self, tmp_path):
         trace = tmp_path / "t.csv"
         trace.write_text(HEADER + "2.0,40,1,,\n1.0,41,1,,\n")
@@ -244,7 +259,7 @@ class TestInternalError:
         trace = tmp_path / "t.csv"
         trace.write_text(HEADER + "1.0,40,1,,\n")
         for exc in (RuntimeError("engine state"), KeyError(7)):
-            def fail(trace, cfg, exc=exc):
+            def fail(trace, engine, exc=exc):
                 raise exc
 
             monkeypatch.setattr("accpair.cli.replay", fail)

@@ -189,6 +189,7 @@ class TestAccDomain:
         with pytest.raises(ValueError, match="outside 0..15"):
             engine.on_arrival(pkt(100.0, 200, erroneous=True))
         assert engine.live_slots == 1
+        assert engine.arrivals == 1
         out = engine.on_arrival(pkt(nominal_interval(0x4, 1, self.SMALL), 0x5))
         assert out.kind == "pair"
         assert out.base_ref == 0
@@ -210,8 +211,8 @@ def test_replay_leaves_the_callers_packets_unchanged():
     cfg = SimConfig(n=5, M=1, epsilon=1 / 32, horizon=200.0, rng_seed=3)
     trace = generate_trace(cfg)
     before = copy.deepcopy(trace)
-    first = replay(trace, cfg)
-    second = replay(trace, cfg)
+    first = replay(trace, PairingEngine(cfg.params, M=cfg.M))
+    second = replay(trace, PairingEngine(cfg.params, M=cfg.M))
     assert first.total_pairings > 0
     assert first == second
     assert trace == before

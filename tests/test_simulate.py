@@ -3,7 +3,7 @@ import warnings
 
 import pytest
 
-from accpair.engine import DEPLOYMENT
+from accpair.engine import DEPLOYMENT, PairingEngine
 from accpair.simulate import (
     SimConfig,
     _false_detection_trial,
@@ -139,16 +139,18 @@ class TestReplay:
             PacketArrival(time=16.0, acc=0x41, erroneous=False, meter_id="m", true_acc=0x41),
             PacketArrival(time=31.9921875, acc=0x42, erroneous=False, meter_id="m", true_acc=0x42),
         ]
-        report = replay(trace, SimConfig(n=1, slot_policy=DEPLOYMENT))
-        assert report.arrivals == 3
+        engine = PairingEngine(PARAMS, policy=DEPLOYMENT)
+        report = replay(trace, engine)
+        assert engine.arrivals == 3
         assert report.per_step[0].cc == 2
         assert report.total_pairings == 2
         assert report.truth_available
         assert report.per_step[0].false_pairs == 0
 
     def test_empty_trace(self):
-        report = replay([], SimConfig(n=1))
-        assert report.arrivals == 0
+        engine = PairingEngine(PARAMS)
+        report = replay([], engine)
+        assert engine.arrivals == 0
         assert report.total_pairings == 0
         assert not report.truth_available
 
@@ -158,7 +160,7 @@ class TestReplay:
             PacketArrival(time=0.0, acc=0x40, erroneous=True, meter_id="a", true_acc=0x40),
             PacketArrival(time=16.0, acc=0x41, erroneous=True, meter_id="b", true_acc=0x41),
         ]
-        report = replay(trace, SimConfig(n=2, slot_policy=DEPLOYMENT))
+        report = replay(trace, PairingEngine(PARAMS, policy=DEPLOYMENT))
         sc = report.per_step[0]
         assert sc.ee == 1
         assert sc.false_pairs == 1
@@ -166,8 +168,8 @@ class TestReplay:
         assert sc.fd_percent == 100.0
 
     def test_counts_are_consistent(self):
-        cfg = SimConfig(n=10, epsilon=1 / 32, horizon=300.0, rng_seed=3, slot_policy=DEPLOYMENT)
-        report = replay(generate_trace(cfg), cfg)
+        cfg = SimConfig(n=10, epsilon=1 / 32, horizon=300.0, rng_seed=3)
+        report = replay(generate_trace(cfg), PairingEngine(cfg.params, policy=DEPLOYMENT))
         for sc in report.per_step:
             assert sc.pairings == sc.cc + sc.ce + sc.ec + sc.ee
             assert sc.false_pairs <= sc.pairings

@@ -388,12 +388,13 @@ class TestStoreContract:
     @settings(max_examples=300, deadline=None)
     def test_queries_match_brute_force_and_slot_bounds(self, params, timeout, ops):
         store = SlotStore(params, timeout=timeout)
-        now, refs = 0.0, 0
+        now, refs, peak = 0.0, 0, 0
         for op in ops:
             if op[0] == _CREATE:
                 now += op[1] * params.t
                 store.create_slots(erroneous(now, op[2] % params.L), op[3], refs)
                 refs += 1
+                peak = max(peak, len(store))
             elif op[0] == _REMOVE:
                 store.remove_base(op[1])
             else:
@@ -413,6 +414,7 @@ class TestStoreContract:
                            if s.saw_arrival or s.step == timeout)
             slots = store.iter_slots()
             assert len(store) == len(slots)
+            assert store.peak == peak
             for s in slots:
                 assert s.step <= timeout
                 assert (s.start, s.width) == slot_bounds(

@@ -266,7 +266,7 @@ class TestWindowRow:
         params = ProtocolParams()
         assert lead_time(0x40, 0, params) == params.gamma_a
         replay(generate_trace(SimConfig(params=params, n=3, epsilon=1 / 16, horizon=100.0)),
-               SimConfig(params=params, M=1))
+               PairingEngine(params, M=1))
         slot_bounds(1, 1, 0.0, params)
         with pytest.raises(ValueError, match="step must be >= 1"):
             slot_bounds(0x40, 0, 0.0, params)
@@ -281,7 +281,7 @@ class TestWindowRow:
         params = ProtocolParams()
         before = dict(vars(params))
         replay(generate_trace(SimConfig(params=params, n=3, epsilon=1 / 16, horizon=100.0)),
-               SimConfig(params=params, M=1))
+               PairingEngine(params, M=1))
         slot_bounds(0x40, 3, 0.0, params)
         qM(0x40, 1, 200, params)
         assert vars(params) == before

@@ -133,7 +133,7 @@ class TestExperimentConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys: bogus"):
             load_experiment_config(self.good(bogus=1))
-        # SimConfig fields that trace generation never reads
+        # keys that trace generation never reads
         for key, value in (("M", 1), ("trials", 5), ("timeout", 3), ("slot_policy", "analysis")):
             with pytest.raises(ConfigError, match=f"unknown config keys: {key}$"):
                 load_experiment_config(self.good(**{key: value}))
