@@ -13,9 +13,11 @@ from ``timing.window_row``; the set of ACC values a candidate window pairs
 with, held as an L-bit integer so that a union is an OR and its size a
 ``bit_count()``; and, per threshold and params, the table of ``sum_beta
 beta * sigma_beta`` over every base ACC that ``mean_qM`` reads.  All are
-``lru_cache``s, none is kept on the params.  Those keyed by a caller's
-ACC or threshold are typed, so ``True``, ``1.0`` or a numpy integer never
-hits the entry of an equal int and is rejected as on a cold cache.
+``lru_cache``s, none is kept on the params, and those keyed by params are
+bounded, so a sweep over many params does not grow without end.  Those
+keyed by a caller's ACC or threshold are typed, so ``True``, ``1.0`` or a
+numpy integer never hits the entry of an equal int and is rejected as on a
+cold cache.
 """
 
 from __future__ import annotations
@@ -107,7 +109,12 @@ def sigma(y: int, M: int, params: ProtocolParams) -> Dict[int, float]:
     return out
 
 
-@lru_cache(maxsize=None, typed=True)
+#: Tables of 16 params at every M of an L=256 counter fit in the caches
+#: below: 16 * 9 tables of 256 per-ACC values, about 6 MB in all.
+_CACHED_TABLES = 16 * 9
+
+
+@lru_cache(maxsize=_CACHED_TABLES * 256, typed=True)
 def _beta_weighted_duration(y: int, M: int, params: ProtocolParams) -> float:
     """sum over beta of beta * sigma_beta for one base ACC."""
     # not sum(), which is compensated from Python 3.12 on: same bits everywhere
@@ -117,7 +124,7 @@ def _beta_weighted_duration(y: int, M: int, params: ProtocolParams) -> float:
     return total
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=_CACHED_TABLES, typed=True)
 def _beta_weighted_durations(M: int, params: ProtocolParams) -> Tuple[float, ...]:
     """``_beta_weighted_duration`` of every base ACC 0..L-1."""
     return tuple(_beta_weighted_duration(y, M, params) for y in range(params.L))

@@ -2,7 +2,10 @@
 synthetic trace generation and trace replay.
 
 All randomness flows through per-trial substreams derived from a single
-seed, so trials are reproducible independently of execution order.
+seed, so trials are reproducible independently of execution order.  The
+Monte-Carlo trials therefore run on every CPU in the process's affinity
+mask, in forked workers, and the result does not depend on how many there
+are: ``taskset -c 0`` runs them serially, with the same output.
 
 numpy is imported inside the functions that draw or summarise with it, not
 at module level: ``import accpair``, ``analytic`` and ``replay`` never use
@@ -12,8 +15,9 @@ it, and loading it would be most of their start-up time and memory.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, List, NoReturn, Optional, Tuple, TypeVar
 
 from .engine import ANALYSIS, DEPLOYMENT, PairingEngine
 from .slots import PacketArrival
@@ -25,6 +29,13 @@ if TYPE_CHECKING:
 #: Bit count of the modeled non-ACC packet remainder; a CRC failure can be
 #: caused by any of these bits even when the ACC itself survives.
 BODY_BITS = 232
+
+#: Fewest trials worth a forked worker.  A fork, exit and waitpid round trip
+#: costs about 2 ms with numpy loaded, some 26 fd trials of 80 us, so 256
+#: trials keep it to about 10% of a worker's time.
+MIN_TRIALS_PER_WORKER = 256
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -127,6 +138,82 @@ def _trial_rng(seed: int, index: int) -> np.random.Generator:
     import numpy as np
 
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+
+
+def _map_trials(trial: Callable[[SimConfig, int], T], cfg: SimConfig) -> List[T]:
+    """``trial(cfg, i)`` for every ``i`` in ``range(cfg.trials)``, in index order.
+
+    Contiguous index ranges go to one process per CPU in the affinity mask,
+    at most one per ``MIN_TRIALS_PER_WORKER`` trials.  This process runs the
+    first range, and its first trial before any fork, so the workers inherit
+    what that trial loads (numpy, the window rows).  Each other range runs in
+    a forked child that pickles its results, or its exception, to a pipe; the
+    exception is re-raised here with its own type.  With one worker, or
+    without ``os.fork``, it is the plain serial loop.
+    """
+    workers = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        workers = min(len(os.sched_getaffinity(0)), cfg.trials // MIN_TRIALS_PER_WORKER)
+    if workers <= 1:
+        return [trial(cfg, i) for i in range(cfg.trials)]
+    import pickle
+    import signal
+
+    bounds = [cfg.trials * w // workers for w in range(workers + 1)]
+    results = [trial(cfg, 0)]
+    pids: List[int] = []  # children not yet reaped, in range order
+    pipes = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            read_fd, write_fd = os.pipe()
+            pipes.append(os.fdopen(read_fd, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _trial_worker(trial, cfg, range(lo, hi), write_fd)
+            finally:
+                os.close(write_fd)  # only the child writes
+            pids.append(pid)
+        results.extend(trial(cfg, i) for i in range(1, bounds[1]))
+        for pipe in pipes:
+            data = pipe.read()  # all of it before waitpid: it can exceed the pipe buffer
+            code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+            del pids[0]
+            if code != 0:
+                raise RuntimeError(f"trial worker exited with status {code} and sent no result")
+            kind, value = pickle.loads(data)
+            if kind == "error":
+                raise value
+            results.extend(value)
+        return results
+    finally:
+        for pid in pids:  # unreaped, so at worst a zombie: kill cannot miss
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+
+
+def _trial_worker(trial: Callable[[SimConfig, int], T], cfg: SimConfig,
+                  indices: range, write_fd: int) -> NoReturn:
+    """A forked child's whole life: run ``indices``, pickle the outcome, exit.
+
+    It leaves through ``os._exit`` whatever happens, so it never returns into
+    the parent's frames nor flushes a buffer the parent also holds.
+    """
+    import pickle
+
+    status = 1
+    try:
+        try:
+            payload = ("ok", [trial(cfg, i) for i in indices])
+        except Exception as exc:
+            payload = ("error", exc)
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump(payload, pipe)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _flip_mask(rng: np.random.Generator, epsilon: float, L: int) -> int:
@@ -296,19 +383,19 @@ def _false_detection_trial(cfg: SimConfig, base_true_acc: int, rng: np.random.Ge
     return False
 
 
+def _fd_trial(cfg: SimConfig, i: int) -> bool:
+    return _false_detection_trial(cfg, i % cfg.params.L, _trial_rng(cfg.rng_seed, i))
+
+
 def simulate_false_detection(cfg: SimConfig) -> SimReport:
     """Estimate the false-detection rate by independent trials.
 
     Base ACCs are swept uniformly over the full range so the estimate is
     the mean over ACC values, matching how the analytic curves are
-    reported.
+    reported.  The trials run on every CPU in the affinity mask; the
+    report is the same for any CPU count.
     """
-    false_count = 0
-    for i in range(cfg.trials):
-        rng = _trial_rng(cfg.rng_seed, i)
-        if _false_detection_trial(cfg, i % cfg.params.L, rng):
-            false_count += 1
-    rate = false_count / cfg.trials
+    rate = sum(_map_trials(_fd_trial, cfg)) / cfg.trials
     return SimReport(
         trials=cfg.trials,
         fd_rate=rate,
@@ -320,22 +407,25 @@ def simulate_false_detection(cfg: SimConfig) -> SimReport:
 # memory footprint
 
 
+def _memory_trial(cfg: SimConfig, i: int) -> float:
+    engine = PairingEngine(cfg.params, M=cfg.M, policy=DEPLOYMENT, timeout=cfg.timeout)
+    replay(generate_trace(cfg, _trial_rng(cfg.rng_seed, i)), engine)
+    return engine.store.peak / cfg.n if cfg.n else 0.0
+
+
 def simulate_memory(cfg: SimConfig) -> SimReport:
     """Average maximum number of simultaneously live slots per meter.
 
     Full transmission schedules of all meters are replayed through a
     ``DEPLOYMENT`` engine, so every arrival creates slots, mirroring how
     receiver memory is provisioned in the field; a trial's maximum is the
-    store's ``peak``.
+    store's ``peak``.  The trials run on every CPU in the affinity mask and
+    are summarised in index order, so the report is the same for any CPU
+    count.
     """
     import numpy as np
 
-    per_trial: List[float] = []
-    for trial in range(cfg.trials):
-        rng = _trial_rng(cfg.rng_seed, trial)
-        engine = PairingEngine(cfg.params, M=cfg.M, policy=DEPLOYMENT, timeout=cfg.timeout)
-        replay(generate_trace(cfg, rng), engine)
-        per_trial.append(engine.store.peak / cfg.n if cfg.n else 0.0)
+    per_trial = _map_trials(_memory_trial, cfg)
     mean = float(np.mean(per_trial))
     se = float(np.std(per_trial, ddof=1) / np.sqrt(len(per_trial))) if len(per_trial) > 1 else 0.0
     return SimReport(

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from accpair.analytic import (
     SaturationError,
+    _beta_weighted_duration,
+    _beta_weighted_durations,
     max_distinguishable_meters,
     mean_qM,
     q0,
@@ -202,6 +204,22 @@ class TestQM:
         for bad in (True, 1.0, np.int64(1)):
             with pytest.raises(ValueError, match=match):
                 call(bad)
+
+    def test_caches_are_bounded_and_rebuild_evicted_tables(self):
+        # 16 params' tables at every M of an L=256 counter fit
+        assert _beta_weighted_durations.cache_info().maxsize >= 16 * 9
+        assert _beta_weighted_duration.cache_info().maxsize >= 16 * 9 * 256
+        first = ProtocolParams(t=16.0)
+        table = _beta_weighted_durations(0, first)
+        mean = mean_qM(0, 200, first)
+        for i in range(150):
+            mean_qM(0, 200, ProtocolParams(t=16.0 + (i + 1) * 1e-3))
+        for cache in (_beta_weighted_duration, _beta_weighted_durations):
+            assert cache.cache_info().currsize <= cache.cache_info().maxsize
+        rebuilt = _beta_weighted_durations(0, first)
+        assert rebuilt is not table
+        assert rebuilt == table
+        assert mean_qM(0, 200, first) == mean
 
     def test_mean_bits_pinned(self):
         # the same last bit on every interpreter: sum() of floats is

@@ -1,12 +1,21 @@
 import hashlib
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import accpair
+from accpair import simulate
+from accpair.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from accpair.engine import DEPLOYMENT, PairingEngine
 from accpair.simulate import (
     SimConfig,
     _false_detection_trial,
+    _fd_trial,
+    _map_trials,
     _trial_rng,
     generate_trace,
     replay,
@@ -248,3 +257,125 @@ class TestSimulateMemory:
     def test_bit_errors_inflate_memory(self):
         cfg = SimConfig(n=5, M=1, epsilon=2 / 32, trials=2, horizon=120.0, rng_seed=3)
         assert simulate_memory(cfg).memory_per_meter > 9.0
+
+
+def use_cpus(monkeypatch, count):
+    """Make the trial helper see ``count`` CPUs and fork for a single trial."""
+    monkeypatch.setattr(simulate, "MIN_TRIALS_PER_WORKER", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the trials run serially without os.fork")
+class TestParallelTrials:
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_ranges_run_in_workers_and_come_back_in_index_order(self, monkeypatch, cpus):
+        use_cpus(monkeypatch, cpus)
+        cfg = SimConfig(trials=1001)
+        results = _map_trials(lambda cfg, i: (i, os.getpid()), cfg)
+        assert [i for i, _ in results] == list(range(1001))
+        pids = list(dict.fromkeys(pid for _, pid in results))
+        assert len(pids) == cpus
+        assert pids[0] == os.getpid()  # this process runs the first range
+        assert_no_child_left()
+
+    def test_fd_report_is_the_same_for_any_cpu_count(self, monkeypatch):
+        cfg = SimConfig(n=400, M=1, trials=1001, rng_seed=9)
+        reports = []
+        for cpus in (1, 2, 3):
+            use_cpus(monkeypatch, cpus)
+            reports.append(simulate_false_detection(cfg))
+        assert reports[0].fd_rate > 0
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+        assert _map_trials(_fd_trial, cfg) == [_fd_trial(cfg, i) for i in range(cfg.trials)]
+
+    def test_memory_matches_recorded_value_on_three_workers(self, monkeypatch):
+        use_cpus(monkeypatch, 3)
+        report = simulate_memory(
+            SimConfig(n=20, M=1, epsilon=2 / 32, trials=3, horizon=200.0, rng_seed=3)
+        )
+        assert (report.memory_per_meter, report.memory_std_error) == (
+            27.616666666666664, 0.7822687801800888
+        )
+
+    def test_cli_writes_the_same_bytes_for_any_cpu_count(self, monkeypatch, tmp_path):
+        outputs = []
+        for cpus in (1, 3):
+            use_cpus(monkeypatch, cpus)
+            out = tmp_path / f"fd{cpus}.csv"
+            assert main(["simulate", "--kind", "fd", "--n", "400", "--M", "1",
+                         "--trials", "600", "--seed", "4", "--out", str(out)]) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("exc, code", [(ValueError, EXIT_USAGE), (MemoryError, EXIT_INTERNAL)])
+    def test_worker_error_is_raised_with_its_type(self, monkeypatch, tmp_path, exc, code):
+        use_cpus(monkeypatch, 3)
+
+        def trial(cfg, i):
+            if i == 2 and os.getpid() != parent:  # in the last worker's range
+                raise exc("trial 2 failed")
+            return False
+
+        parent = os.getpid()
+        monkeypatch.setattr(simulate, "_fd_trial", trial)
+        with pytest.raises(exc, match="trial 2 failed"):
+            simulate_false_detection(SimConfig(trials=3))
+        assert_no_child_left()
+        assert main(["simulate", "--kind", "fd", "--trials", "3",
+                     "--out", str(tmp_path / "fd.csv")]) == code
+        assert not (tmp_path / "fd.csv").exists()
+        assert_no_child_left()
+
+    def test_error_in_the_first_range_reaps_every_worker(self, monkeypatch):
+        use_cpus(monkeypatch, 3)
+
+        def trial(cfg, i):
+            if i == 1:  # in this process's range, after the forks
+                raise ValueError("trial 1 failed")
+            return False
+
+        monkeypatch.setattr(simulate, "_fd_trial", trial)
+        with pytest.raises(ValueError, match="trial 1 failed"):
+            simulate_false_detection(SimConfig(trials=6))
+        assert_no_child_left()
+
+    def test_worker_that_dies_without_a_result_names_its_status(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        parent = os.getpid()
+
+        def trial(cfg, i):
+            if os.getpid() != parent:
+                os._exit(3)
+            return False
+
+        monkeypatch.setattr(simulate, "_fd_trial", trial)
+        with pytest.raises(RuntimeError, match="status 3"):
+            simulate_false_detection(SimConfig(trials=2))
+        assert_no_child_left()
+
+    def test_worker_results_larger_than_a_pipe_buffer(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        results = _map_trials(lambda cfg, i: bytes(1000), SimConfig(trials=300))
+        assert results == [bytes(1000)] * 300
+        assert_no_child_left()
+
+    def test_buffered_output_is_written_once(self):
+        script = (
+            "import os, sys\n"
+            "from accpair import simulate\n"
+            "simulate.MIN_TRIALS_PER_WORKER = 1\n"
+            "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+            "sys.stdout = open(1, 'w', buffering=65536, closefd=False)  # block-buffered\n"
+            "sys.stdout.write('unflushed\\n')\n"
+            "simulate.simulate_false_detection(simulate.SimConfig(n=400, M=1, trials=30))\n"
+        )
+        src = str(Path(accpair.__file__).resolve().parents[1])
+        child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                               env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert (child.returncode, child.stderr) == (0, "")
+        assert child.stdout == "unflushed\n"
