@@ -148,14 +148,16 @@ def _map_trials(trial: Callable[[SimConfig, int], T], cfg: SimConfig) -> List[T]
     first range, and its first trial before any fork, so the workers inherit
     what that trial loads (numpy, the window rows).  Each other range runs in
     a forked child that pickles its results, or its exception, to a pipe; the
-    exception is re-raised here with its own type.  With one worker, or
-    without ``os.fork``, it is the plain serial loop.
+    exception is re-raised here with its own type.  With one worker (one
+    CPU, fewer than ``2 * MIN_TRIALS_PER_WORKER`` trials, or no ``os.fork``)
+    the one range is the plain serial loop and nothing is forked.
+
+    The workers are forked by hand because a ``multiprocessing`` fork
+    ``Pool`` waits forever for a worker that dies, and was no faster.
     """
     workers = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        workers = min(len(os.sched_getaffinity(0)), cfg.trials // MIN_TRIALS_PER_WORKER)
-    if workers <= 1:
-        return [trial(cfg, i) for i in range(cfg.trials)]
+        workers = max(1, min(len(os.sched_getaffinity(0)), cfg.trials // MIN_TRIALS_PER_WORKER))
     import pickle
     import signal
 
@@ -419,9 +421,11 @@ def simulate_memory(cfg: SimConfig) -> SimReport:
     Full transmission schedules of all meters are replayed through a
     ``DEPLOYMENT`` engine, so every arrival creates slots, mirroring how
     receiver memory is provisioned in the field; a trial's maximum is the
-    store's ``peak``.  The trials run on every CPU in the affinity mask and
-    are summarised in index order, so the report is the same for any CPU
-    count.
+    store's ``peak``.  ``MIN_TRIALS_PER_WORKER`` was set by the fd trial's
+    cost, so a run of fewer than ``2 * MIN_TRIALS_PER_WORKER`` trials, as
+    memory runs usually are, stays serial; a longer one runs on every CPU
+    in the affinity mask.  The trials are summarised in index order, so the
+    report is the same for any CPU count.
     """
     import numpy as np
 
