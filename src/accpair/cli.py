@@ -19,7 +19,7 @@ from .engine import ANALYSIS, DEPLOYMENT, PairingEngine
 from .simulate import SimConfig, generate_trace, replay, simulate_false_detection, simulate_memory
 from .timing import ProtocolParams, check_threshold
 from .traceio import ConfigError, TraceFormatError, load_experiment_config, plain_number
-from .traceio import read_trace, write_trace
+from .traceio import iter_trace, write_trace
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -139,13 +139,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     # built first, so a bad --M or --timeout is reported before the trace is read
     engine = PairingEngine(M=args.M, policy=args.mode, timeout=args.timeout)
+    # the trace streams through the engine; the output is opened only once
+    # every row has passed, so a trace that fails late writes nothing
     with open(args.trace, "r", encoding="utf-8", newline="") as fh:
-        trace = read_trace(fh)
-    report = replay(trace, engine)
+        report = replay(iter_trace(fh), engine)
     with _output(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["step", "cc", "ce", "ec", "ee", "ee_false", "fd_percent"])
-        if trace:
+        if engine.arrivals:
             for sc in report.per_step:
                 if report.truth_available:
                     writer.writerow(

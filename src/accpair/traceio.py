@@ -7,7 +7,9 @@ Traces are UTF-8 CSV with LF line endings and a mandatory header::
 ``time_s`` carries nine fractional digits (slot widths are milliseconds,
 so microsecond rounding would corrupt boundary decisions) and must pass
 ``plain_number``, ``acc_hex`` is two hex digits, ``crc_ok`` is 0 or 1, and
-the ground-truth columns may be empty.  Experiment configurations are JSON documents holding the
+the ground-truth columns may be empty.  ``iter_trace`` checks each row
+as it yields it, so a reader holds one row at a time; ``read_trace`` lists
+them all.  Experiment configurations are JSON documents holding the
 SimConfig fields that trace generation reads, ``params`` and ``out``;
 any other key is rejected.
 """
@@ -18,7 +20,7 @@ import csv
 import json
 import math
 from dataclasses import fields as dataclass_fields
-from typing import IO, Iterable, List, Optional, Tuple
+from typing import IO, Iterable, Iterator, List
 
 from .simulate import SimConfig
 from .slots import PacketArrival
@@ -83,8 +85,9 @@ def _parse_byte(text: str, line: int, column: str) -> int:
     return value
 
 
-def read_trace(inp: IO[str]) -> List[PacketArrival]:
-    """Parse and validate a trace stream into time-sorted arrivals."""
+def iter_trace(inp: IO[str]) -> Iterator[PacketArrival]:
+    """Yield a trace stream's arrivals in time order, validating each row as
+    it is read; a malformed row raises ``TraceFormatError`` once it is reached."""
     reader = csv.reader(inp)
     try:
         header = next(reader)
@@ -92,7 +95,6 @@ def read_trace(inp: IO[str]) -> List[PacketArrival]:
         raise TraceFormatError(1, "missing header row") from None
     if header != TRACE_HEADER:
         raise TraceFormatError(1, f"bad header {header!r}, expected {TRACE_HEADER!r}")
-    trace: List[PacketArrival] = []
     prev_time = None
     for line, row in enumerate(reader, start=2):
         if not row:
@@ -114,16 +116,18 @@ def read_trace(inp: IO[str]) -> List[PacketArrival]:
             raise TraceFormatError(line, f"crc_ok must be 0 or 1, got {crc_ok!r}")
         if true_acc_hex and not meter_id:
             raise TraceFormatError(line, "true_acc_hex given without meter_id")
-        trace.append(
-            PacketArrival(
-                time=time,
-                acc=acc,
-                erroneous=crc_ok == "0",
-                meter_id=meter_id or None,
-                true_acc=_parse_byte(true_acc_hex, line, "true_acc_hex") if true_acc_hex else None,
-            )
+        yield PacketArrival(
+            time=time,
+            acc=acc,
+            erroneous=crc_ok == "0",
+            meter_id=meter_id or None,
+            true_acc=_parse_byte(true_acc_hex, line, "true_acc_hex") if true_acc_hex else None,
         )
-    return trace
+
+
+def read_trace(inp: IO[str]) -> List[PacketArrival]:
+    """The whole of ``iter_trace(inp)`` as a list, or its first ``TraceFormatError``."""
+    return list(iter_trace(inp))
 
 
 _PARAM_KEYS = {f.name for f in dataclass_fields(ProtocolParams)}

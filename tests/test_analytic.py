@@ -20,6 +20,7 @@ from accpair.engine import PairingEngine
 from accpair.simulate import (
     SimConfig,
     _false_detection_trial,
+    _map_trials,
     _trial_rng,
     simulate_false_detection,
 )
@@ -314,10 +315,11 @@ class TestReversedDeltaMap:
     def test_per_acc_monte_carlo_agrees(self, geometry, y):
         params = GEOMETRIES[geometry]
         trials, n = 20_000, 2000
-        cfg = SimConfig(params=params, n=n, M=1)
-        hits = sum(
-            _false_detection_trial(cfg, y, _trial_rng(7000 + y, i)) for i in range(trials)
-        )
+        cfg = SimConfig(params=params, n=n, M=1, trials=trials)
+        # trial i draws from the same per-index generator on whichever CPU runs it
+        hits = sum(_map_trials(
+            lambda cfg, i: _false_detection_trial(cfg, y, _trial_rng(7000 + y, i)), cfg
+        ))
         expected = qM(y, 1, n, params)
         se = math.sqrt(expected * (1 - expected) / trials)
         assert abs(hits / trials - expected) <= 3 * se, (hits / trials, expected)

@@ -1,9 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
 from accpair.cli import EXIT_INTERNAL, EXIT_OK, EXIT_PARSE, EXIT_USAGE, _parse_n_range, main
+from accpair.simulate import SimConfig, generate_trace
+from accpair.traceio import write_trace
 
 HEADER = "time_s,acc_hex,crc_ok,meter_id,true_acc_hex\n"
 
@@ -177,6 +180,48 @@ class TestReplay:
         trace.write_text(HEADER + "1.0,40,1,,\nnan,41,1,,\n0.5,42,1,,\n")
         code, _ = run(tmp_path, "replay", str(trace))
         assert code == EXIT_PARSE
+
+    @pytest.mark.parametrize("last, message", [
+        ("0.5,42,1,,\n", "time 0.5 precedes previous row"),
+        ("999.0,zz,1,,\n", "acc_hex must be two hex digits, got 'zz'"),
+    ], ids=["out-of-order", "bad-hex"])
+    def test_bad_last_row_writes_nothing(self, tmp_path, capsys, last, message):
+        trace = tmp_path / "t.csv"
+        with open(trace, "w", encoding="utf-8", newline="") as out:
+            rows = write_trace(out, generate_trace(SimConfig(n=5, horizon=200.0, rng_seed=3)))
+            out.write(last)
+        error = f"error: line {rows + 2}: {message}"
+        code, text = run(tmp_path, "replay", str(trace))
+        assert (code, text) == (EXIT_PARSE, None)
+        assert capsys.readouterr().err.startswith(error)
+        assert main(["replay", str(trace)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(error)
+
+
+def replay_peak_bytes(tmp_path, horizon):
+    """tracemalloc peak of ``accpair replay`` on a clean n=100 trace of ``horizon`` seconds."""
+    trace = tmp_path / f"clean-{horizon:g}.csv"
+    if not trace.exists():
+        with open(trace, "w", encoding="utf-8", newline="") as out:
+            write_trace(out, generate_trace(SimConfig(n=100, horizon=horizon, rng_seed=0)))
+    tracemalloc.start()
+    try:
+        code = main(["replay", str(trace), "--out", str(tmp_path / "out.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    return peak
+
+
+def test_replay_memory_does_not_grow_with_the_trace(tmp_path):
+    # the trace streams through the engine, which holds only the live slots,
+    # so four times the trace needs about the same memory
+    replay_peak_bytes(tmp_path, 600.0)  # warm-up: imports and cached window rows
+    short, long = replay_peak_bytes(tmp_path, 600.0), replay_peak_bytes(tmp_path, 2400.0)
+    assert long <= 1.2 * short, (short, long)
 
 
 BAD_INTEGERS = ["\u0663", "1_0", " 5"]

@@ -8,6 +8,7 @@ from accpair.slots import PacketArrival
 from accpair.traceio import (
     ConfigError,
     TraceFormatError,
+    iter_trace,
     load_experiment_config,
     read_trace,
     write_trace,
@@ -38,6 +39,23 @@ class TestTraceRoundTrip:
         buf = io.StringIO()
         write_trace(buf, generate_trace(SimConfig(n=1, horizon=40.0, rng_seed=1)))
         assert "\r" not in buf.getvalue()
+
+
+class TestTraceStreaming:
+    def test_yields_a_row_before_the_next_is_checked(self):
+        rows = iter_trace(io.StringIO(HEADER + "1.000000000,40,0,m,41\n0.5,zz,1,,\n"))
+        assert next(rows) == PacketArrival(1.0, 0x40, True, meter_id="m", true_acc=0x41)
+        with pytest.raises(TraceFormatError, match="line 3: time 0.5 precedes"):
+            next(rows)
+
+    def test_read_trace_lists_the_stream(self):
+        buf = io.StringIO()
+        write_trace(buf, generate_trace(SimConfig(n=20, epsilon=1 / 32, horizon=200.0,
+                                                  rng_seed=4)))
+        text = buf.getvalue()
+        listed = read_trace(io.StringIO(text))
+        assert isinstance(listed, list) and len(listed) > 100
+        assert listed == list(iter_trace(io.StringIO(text)))
 
 
 class TestTraceParsing:
