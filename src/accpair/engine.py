@@ -22,6 +22,10 @@ from .timing import ProtocolParams, check_acc, check_threshold, hamming
 ANALYSIS = "analysis"
 DEPLOYMENT = "deployment"
 
+#: Pairing classes, base then arrival: C is a CRC-clean packet, E an
+#: erroneous one.  Class ``k`` is ``2 * (base erroneous) + (arrival erroneous)``.
+PAIR_CLASSES = ("CC", "CE", "EC", "EE")
+
 
 @dataclass
 class PairingOutcome:
@@ -32,7 +36,7 @@ class PairingOutcome:
     base_ref: Optional[int] = None
     step: Optional[int] = None
     distance: Optional[int] = None
-    pair_class: Optional[str] = None  # "CC", "CE", "EC" or "EE" (base -> arrival)
+    pair_class: Optional[str] = None  # one of PAIR_CLASSES (base -> arrival)
     is_false: Optional[bool] = None   # set only when ground truth is available
 
 
@@ -45,16 +49,23 @@ def pair_distance(slot: VirtualSlot, y_arrival: int) -> int:
     return slot.b + hamming(slot.xi, y_arrival)
 
 
+def _classify(base: PacketArrival, arrival: PacketArrival) -> Tuple[int, Optional[bool]]:
+    """``classify`` with the class as its index into ``PAIR_CLASSES``."""
+    k = 2 * bool(base.erroneous) + bool(arrival.erroneous)
+    if base.meter_id is None or arrival.meter_id is None:
+        return k, None
+    return k, base.meter_id != arrival.meter_id
+
+
 def classify(base: PacketArrival, arrival: PacketArrival) -> Tuple[str, Optional[bool]]:
     """Correct/Erroneous class of a pairing, plus ground-truth validity.
 
-    Returns ``(pair_class, is_false)`` where ``is_false`` is None unless
-    both packets carry a meter id.
+    Returns ``(pair_class, is_false)`` where ``pair_class`` is one of
+    ``PAIR_CLASSES`` and ``is_false`` is None unless both packets carry a
+    meter id.
     """
-    cls = ("E" if base.erroneous else "C") + ("E" if arrival.erroneous else "C")
-    if base.meter_id is None or arrival.meter_id is None:
-        return cls, None
-    return cls, base.meter_id != arrival.meter_id
+    k, is_false = _classify(base, arrival)
+    return PAIR_CLASSES[k], is_false
 
 
 class PairingEngine:
@@ -75,6 +86,12 @@ class PairingEngine:
     carries those numbers, ``arrivals`` counts the arrivals accepted so
     far, and the caller's packets are never modified.  ``store.peak`` is
     the most slots ever live at once.
+
+    ``pairs`` is one flat list of ``8 * timeout`` ints, so a pairing
+    allocates nothing: ``pairs[8 * (step - 1) + k]`` counts the pairings
+    of class ``PAIR_CLASSES[k]`` made at ``step``, and the slot 4 later
+    the false ones among them.  ``unverified`` counts the pairings without
+    ground truth on both packets.
     """
 
     def __init__(
@@ -91,6 +108,8 @@ class PairingEngine:
         self.policy = policy
         self.store = SlotStore(self.params, timeout=timeout)
         self.arrivals = 0
+        self.pairs = [0] * (8 * self.store.timeout)
+        self.unverified = 0
 
     def on_arrival(self, pkt: PacketArrival) -> PairingOutcome:
         """Process one arrival and decide pair / no-pair.
@@ -119,16 +138,16 @@ class PairingEngine:
                 best, best_key = slot, key
 
         if best is not None:
-            cls, is_false = classify(best.base, pkt)
-            outcome = PairingOutcome(
-                kind="pair",
-                arrival_ref=ref,
-                base_ref=best.base_ref,
-                step=best.step,
-                distance=best_key[0],
-                pair_class=cls,
-                is_false=is_false,
-            )
+            k, is_false = _classify(best.base, pkt)
+            i = 8 * (best.step - 1) + k
+            self.pairs[i] += 1
+            if is_false is None:
+                self.unverified += 1
+            elif is_false:
+                self.pairs[i + 4] += 1
+            outcome = PairingOutcome(kind="pair", arrival_ref=ref, base_ref=best.base_ref,
+                                     step=best.step, distance=best_key[0],
+                                     pair_class=PAIR_CLASSES[k], is_false=is_false)
             self.store.remove_base(best.base_ref)
         else:
             outcome = PairingOutcome(kind="no-pair", arrival_ref=ref)

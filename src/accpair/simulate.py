@@ -283,40 +283,17 @@ def generate_trace(cfg: SimConfig, rng: Optional[np.random.Generator] = None) ->
 def replay(trace: Iterable[PacketArrival], engine: PairingEngine) -> SimReport:
     """Run a time-sorted trace through the caller's engine and tabulate.
 
-    Produces per-step class counts, one row per step up to the engine's
-    timeout, plus false-detection statistics when every pairing carried
-    ground truth.  The engine keeps its own counts: ``engine.arrivals``
-    for the arrivals it accepted and ``engine.store.peak`` for the most
-    slots live at once.
+    The engine keeps the tally.  Its ``pairs`` become one ``StepCounts``
+    row per step up to its timeout, counting every pairing it has made,
+    before the trace too.  ``truth_available`` is set when at least one
+    pairing happened and every one had ground truth on both packets.
     """
-    steps = [StepCounts(step=k) for k in range(1, engine.store.timeout + 1)]
-    pairs = 0
-    pairs_with_truth = 0
     for pkt in trace:
-        out = engine.on_arrival(pkt)
-        if out.kind != "pair":
-            continue
-        pairs += 1
-        sc = steps[out.step - 1]
-        if out.pair_class == "CC":
-            sc.cc += 1
-        elif out.pair_class == "CE":
-            sc.ce += 1
-        elif out.pair_class == "EC":
-            sc.ec += 1
-        else:
-            sc.ee += 1
-        if out.is_false is not None:
-            pairs_with_truth += 1
-            if out.is_false:
-                sc.false_pairs += 1
-                if out.pair_class == "EE":
-                    sc.ee_false += 1
-    return SimReport(
-        trials=1,
-        per_step=steps,
-        truth_available=pairs > 0 and pairs_with_truth == pairs,
-    )
+        engine.on_arrival(pkt)
+    p = engine.pairs
+    steps = [StepCounts(j // 8 + 1, *p[j:j + 4], ee_false=p[j + 7],
+                        false_pairs=sum(p[j + 4:j + 8])) for j in range(0, len(p), 8)]
+    return SimReport(trials=1, per_step=steps, truth_available=engine.unverified == 0 and any(p))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from accpair.analytic import (
@@ -16,7 +16,7 @@ from accpair.analytic import (
     qM,
     sigma,
 )
-from accpair.engine import PairingEngine
+from accpair.engine import ANALYSIS, PairingEngine
 from accpair.simulate import (
     SimConfig,
     _false_detection_trial,
@@ -28,6 +28,7 @@ from accpair.slots import PacketArrival
 from accpair.timing import (
     ProtocolParams,
     hamming,
+    jitter_index,
     lead_time,
     nominal_interval,
     slot_bounds,
@@ -377,6 +378,75 @@ def test_sigma_matches_window_sweep_on_random_geometry(L, t, nu_a, nu_b, gamma_a
             s, oracle = sigma(y, m, params), swept_sigma(y, m, params)
             for beta in set(s) | set(oracle):
                 assert abs(s.get(beta, 0.0) - oracle.get(beta, 0.0)) < 1e-12, (y, m, beta)
+
+
+def probed_beta_weighted_duration(y, M, params):
+    """sum of beta * sigma_beta for base ACC ``y``, by probing fresh engines.
+
+    The base arrives at ``-I(y)``, so the genuine next packet is due at 0.
+    Between consecutive edges of the base's step-1 windows, cut to the span
+    from the base to 0, beta is the number of ACCs that a clean arrival at
+    the segment's midpoint would pair with.
+    """
+    base = PacketArrival(time=-params.intervals[y], acc=y, erroneous=True)
+
+    def engine():
+        fresh = PairingEngine(params, M=M, policy=ANALYSIS, timeout=1)
+        fresh.on_arrival(base)
+        return fresh
+
+    edges = sorted({min(max(edge, base.time), 0.0) for slot in engine().store.iter_slots()
+                    for edge in (slot.start, slot.end)})
+    total = 0.0
+    for t0, t1 in zip(edges, edges[1:]):
+        probe = (t0 + t1) / 2
+        beta = sum(engine().on_arrival(PacketArrival(probe, a, False)).kind == "pair"
+                   for a in range(params.L))
+        total += beta * (t1 - t0)
+    return total
+
+
+@given(
+    L=st.sampled_from([4, 8, 16, 32]),
+    t=st.floats(0.01, 64.0),
+    nu_a=st.floats(0.0, 0.01),
+    nu_b=st.floats(0.0, 0.01),
+    gamma_a=st.floats(0.0, 0.5),
+    gamma_b=st.floats(0.0, 0.5),
+    with_map=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_closed_form_matches_engine_probe(L, t, nu_a, nu_b, gamma_a, gamma_b, with_map, data):
+    delta_map = None
+    if with_map:
+        # offsets within 0.45 t, shifted to a zero mean over an ACC cycle
+        raw = data.draw(st.lists(st.floats(-0.45, 0.45), min_size=L // 2 + 1,
+                                 max_size=L // 2 + 1))
+        index = [jitter_index(x, ProtocolParams(L=L)) for x in range(L)]
+        mean = sum(raw[s] for s in index) / L
+        delta_map = tuple(t * (v - mean) for v in raw)
+    params = ProtocolParams(L=L, t=t, nu_a=nu_a, nu_b=nu_b, gamma_a=gamma_a,
+                            gamma_b=gamma_b, delta_map=delta_map)
+    # every step-1 window opens after its base: sigma also counts a window's
+    # time before the base arrives, which no arrival can pair in (see
+    # test_closed_form_counts_windows_open_before_the_base)
+    assume(min(params.intervals) * (1 - nu_a) > gamma_a)
+    M = data.draw(st.integers(0, L.bit_length() - 1), label="M")
+    y = data.draw(st.integers(0, L - 1), label="y")
+    expected = _beta_weighted_duration(y, M, params)
+    got = probed_beta_weighted_duration(y, M, params)
+    assert abs(got - expected) <= 1e-12 * expected, (got, expected)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="sigma counts step-1 window time before the base arrives")
+def test_closed_form_counts_windows_open_before_the_base():
+    # a 0.5 s jitter allowance opens every window 0.375 s before a base
+    # whose intervals are about 0.125 s, so only 0.125 s of it can pair
+    params = ProtocolParams(L=4, t=0.125, nu_a=0.0, nu_b=0.0, gamma_a=0.5, gamma_b=0.0)
+    assert probed_beta_weighted_duration(0, 0, params) == pytest.approx(
+        _beta_weighted_duration(0, 0, params), rel=1e-12)
 
 
 #: Geometries whose closed-form values the recorded digest pins: the

@@ -120,6 +120,26 @@ class TestReplay:
         assert code == EXIT_OK
         assert text.splitlines()[1] == "1,1,0,0,0,,"
 
+    def test_one_unverified_pairing_leaves_columns_empty(self, tmp_path):
+        # the first pairing has ground truth on both packets, the second
+        # an arrival without a meter id
+        trace = tmp_path / "t.csv"
+        trace.write_text(
+            HEADER
+            + "0.000000000,40,1,m,40\n16.000000000,41,1,m,41\n"
+            + "300.000000000,40,1,q,40\n316.000000000,41,1,,\n"
+        )
+        code, text = run(tmp_path, "replay", str(trace))
+        assert code == EXIT_OK
+        assert text.splitlines()[1] == "1,2,0,0,0,,"
+
+    def test_no_pairing_leaves_columns_empty(self, tmp_path):
+        trace = tmp_path / "t.csv"
+        trace.write_text(HEADER + "0.000000000,40,1,m,40\n5.000000000,41,1,n,41\n")
+        code, text = run(tmp_path, "replay", str(trace))
+        assert code == EXIT_OK
+        assert text.splitlines()[1:] == [f"{step},0,0,0,0,," for step in range(1, 11)]
+
     def test_timeout_with_overlapping_windows_is_usage_error(self, tmp_path):
         trace = tmp_path / "t.csv"
         trace.write_text(HEADER)

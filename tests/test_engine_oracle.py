@@ -8,10 +8,10 @@ A candidate is live in step ``j`` when no earlier arrival fell in one of
 its windows of steps before ``j``.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from accpair.engine import ANALYSIS, DEPLOYMENT, PairingEngine
+from accpair.engine import ANALYSIS, DEPLOYMENT, PAIR_CLASSES, PairingEngine, classify
 from accpair.simulate import SimConfig, generate_trace
 from accpair.slots import PacketArrival
 from accpair.timing import ProtocolParams, slot_bounds
@@ -94,21 +94,41 @@ def test_engine_matches_reference(n, epsilon, p, L, M, policy, timeout, body_err
     policy=st.sampled_from([ANALYSIS, DEPLOYMENT]),
     timeout=st.integers(1, 4),
     rows=st.lists(
-        st.tuples(st.integers(0, 5), st.integers(-40, 40), st.integers(0, 255), st.booleans()),
+        st.tuples(st.integers(0, 5), st.integers(-40, 40), st.integers(0, 255), st.booleans(),
+                  st.sampled_from([None, "a", "b"])),
         max_size=20,
     ),
 )
+# a false EE pairing at step 1 and an unverified one at step 2, which
+# random rows make only now and then
+@example(L=16, M=0, policy=ANALYSIS, timeout=2, rows=[
+    (0, 0, 4, True, "a"), (1, 0, 5, True, "b"), (2, 0, 4, True, "a"), (4, -8, 6, False, None),
+])
 @settings(max_examples=60, deadline=None)
 def test_engine_matches_reference_on_crowded_windows(L, M, policy, timeout, rows):
     # arrivals within +-40 ms of multiples of t, so the windows of
-    # different bases and steps compete for the same arrival
+    # different bases and steps compete for the same arrival; a few meter
+    # ids, some missing, make true, false and unverified pairings
     params = ProtocolParams(L=L)
     trace = sorted(
-        (PacketArrival(time=16.0 * k + ms / 1000, acc=acc % L, erroneous=err)
-         for k, ms, acc, err in rows),
+        (PacketArrival(time=16.0 * k + ms / 1000, acc=acc % L, erroneous=err, meter_id=meter)
+         for k, ms, acc, err, meter in rows),
         key=lambda pkt: pkt.time,
     )
     check_against_reference(trace, params, M, policy, timeout)
+
+
+def reference_tally(trace, decisions, timeout):
+    """``(pairs, unverified)`` as the engine keeps them, from the reference's pairings."""
+    pairs, unverified = [0] * (8 * timeout), 0
+    for i, (kind, base_ref, step, _, _) in enumerate(decisions):
+        if kind == "pair":
+            cls, is_false = classify(trace[base_ref], trace[i])
+            slot = 8 * (step - 1) + PAIR_CLASSES.index(cls)
+            pairs[slot] += 1
+            unverified += is_false is None
+            pairs[slot + 4] += is_false is True
+    return pairs, unverified
 
 
 def check_against_reference(trace, params, M, policy, timeout):
@@ -117,4 +137,6 @@ def check_against_reference(trace, params, M, policy, timeout):
     for pkt in trace:
         out = engine.on_arrival(pkt)
         got.append((out.kind, out.base_ref, out.step, out.distance, engine.live_slots))
-    assert got == reference_pairing(trace, params, M, policy, timeout)
+    expected = reference_pairing(trace, params, M, policy, timeout)
+    assert got == expected
+    assert (engine.pairs, engine.unverified) == reference_tally(trace, expected, timeout)
