@@ -23,10 +23,12 @@ cold cache.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from functools import lru_cache
 from typing import Dict, Tuple
 
-from .timing import ProtocolParams, hamming_ball, nominal_interval, window_row
+from .timing import ProtocolParams, check_finite_nonnegative, hamming_ball, nominal_interval
+from .timing import window_row
 
 
 #: Largest meter count the sizing search tries before giving up.
@@ -43,10 +45,8 @@ def q0(lam: float, sigma: float, L: int = 256) -> float:
     Probability that any Poisson arrival of rate ``lam`` during ``sigma``
     seconds carries the one problematic ACC out of ``L``.
     """
-    # NaN fails the range checks; a bool is not taken for a number
-    for value in (lam, sigma):
-        if isinstance(value, bool) or not 0 <= value < math.inf:
-            raise ValueError(f"rate and duration must be finite and nonnegative, got {value!r}")
+    check_finite_nonnegative("rate", lam)
+    check_finite_nonnegative("duration", sigma)
     if not isinstance(L, int) or isinstance(L, bool) or L < 1:
         raise ValueError(f"L must be an integer >= 1, got {L!r}")
     return -math.expm1(-lam * sigma / L)
@@ -130,22 +130,16 @@ def _beta_weighted_durations(M: int, params: ProtocolParams) -> Tuple[float, ...
     return tuple(_beta_weighted_duration(y, M, params) for y in range(params.L))
 
 
-def _check_meters(n: float) -> None:
-    # NaN fails the range check; a bool is not taken for a count
-    if isinstance(n, bool) or not 0 <= n < math.inf:
-        raise ValueError(f"meter count must be finite and nonnegative, got {n!r}")
-
-
 def qM(y: int, M: int, n: float, params: ProtocolParams) -> float:
     """False-detection probability for base ACC ``y`` with ``n`` meters."""
-    _check_meters(n)
+    check_finite_nonnegative("meter count", n)
     lam = n / params.t
     return -math.expm1(-lam / params.L * _beta_weighted_duration(y, M, params))
 
 
 def mean_qM(M: int, n: float, params: ProtocolParams) -> float:
     """``qM`` averaged over all possible base ACC values."""
-    _check_meters(n)
+    check_finite_nonnegative("meter count", n)
     lam = n / params.t
     total = 0.0  # not sum(): see _beta_weighted_duration
     for w in _beta_weighted_durations(M, params):
@@ -161,8 +155,6 @@ def max_distinguishable_meters(target_q: float, M: int, params: ProtocolParams) 
     """
     if not 0.0 < target_q < 1.0:
         raise ValueError(f"target probability must be in (0, 1), got {target_q}")
-    if mean_qM(M, 1, params) > target_q:
-        return 0
     hi = 1
     while mean_qM(M, hi, params) <= target_q:
         hi *= 2
@@ -170,11 +162,6 @@ def max_distinguishable_meters(target_q: float, M: int, params: ProtocolParams) 
             raise SaturationError(
                 f"mean false-detection rate stays below {target_q} up to n={N_CAP}"
             )
-    lo = hi // 2  # mean_qM(lo) <= target < mean_qM(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mean_qM(M, mid, params) <= target_q:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    # lo is 0 or mean_qM(lo) <= target < mean_qM(hi), and mean_qM never decreases in n
+    lo = hi // 2
+    return lo + bisect_right(range(lo + 1, hi), target_q, key=lambda n: mean_qM(M, n, params))

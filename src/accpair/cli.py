@@ -17,7 +17,7 @@ from typing import IO, Iterator, List, Optional
 from .analytic import mean_qM, qM
 from .engine import ANALYSIS, DEPLOYMENT, PairingEngine
 from .simulate import SimConfig, generate_trace, replay, simulate_false_detection, simulate_memory
-from .timing import ProtocolParams, check_threshold
+from .timing import ProtocolParams, check_acc, check_threshold
 from .traceio import ConfigError, TraceFormatError, load_experiment_config, plain_number
 from .traceio import iter_trace, write_trace
 
@@ -69,16 +69,14 @@ def _parse_n_range(text: str) -> range:
     return range(start, stop + 1, step)
 
 
-def _parse_acc(text: str) -> Optional[object]:
+def _parse_acc(text: str, L: int) -> Optional[object]:
     if text in ("all", "mean"):
         return text
     try:
         value = integer(text, 0)
     except ValueError:
         raise UsageError(f"--acc must be 'all', 'mean' or a byte value, got {text!r}") from None
-    if not 0 <= value < 256:
-        raise UsageError(f"--acc byte value out of range: {text!r}")
-    return value
+    return check_acc(value, L)
 
 
 @contextlib.contextmanager
@@ -94,7 +92,7 @@ def _output(path: Optional[str]) -> Iterator[IO[str]]:
 def cmd_analytic(args: argparse.Namespace) -> int:
     params = ProtocolParams()
     ns = _parse_n_range(args.n_range)
-    acc = _parse_acc(args.acc)
+    acc = _parse_acc(args.acc, params.L)
     check_threshold(args.M, params.L)
     with _output(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")

@@ -21,7 +21,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, List, NoReturn, Optional, 
 
 from .engine import ANALYSIS, DEPLOYMENT, PairingEngine
 from .slots import PacketArrival
-from .timing import ProtocolParams, check_acc, check_threshold, nominal_interval
+from .timing import ProtocolParams, check_acc, check_finite_nonnegative, check_threshold
+from .timing import nominal_interval
 
 if TYPE_CHECKING:
     import numpy as np
@@ -75,12 +76,8 @@ class SimConfig:
         check_threshold(self.M, self.params.L)
         if self.timeout < 1:
             raise ValueError(f"timeout must be >= 1, got {self.timeout}")
-        if not (math.isfinite(self.horizon) and self.horizon >= 0):
-            raise ValueError(f"horizon must be finite and nonnegative, got {self.horizon}")
-        if not (math.isfinite(self.emission_jitter) and self.emission_jitter >= 0):
-            raise ValueError(
-                f"emission_jitter must be finite and nonnegative, got {self.emission_jitter}"
-            )
+        check_finite_nonnegative("horizon", self.horizon)
+        check_finite_nonnegative("emission_jitter", self.emission_jitter)
         if self.body_error_prob is not None and not 0.0 <= self.body_error_prob <= 1.0:
             raise ValueError(f"body_error_prob must be in [0, 1], got {self.body_error_prob}")
 

@@ -239,15 +239,11 @@ class SlotStore:
                 rec.skip = skip
                 if gone:
                     # a window that ended by now holds no hit, so dropping
-                    # it leaves every skip time a lower bound
+                    # it leaves every skip time a lower bound; the slot whose
+                    # window ends at rec.end > time stays, so rec.slots is not empty
                     expired += gone
                     rec.slots = [slot for slot in slots if time < slot.start + slot.width
                                  or not (final or slot.saw_arrival)]
-                    if not rec.slots:
-                        i -= 1
-                        n -= 1
-                        del self._by_base[by_start[i][1]]
-                        del by_start[i]
                 continue
             ref = by_start[i][1]
             del by_start[i]

@@ -43,6 +43,7 @@ class ProtocolParams:
     (max(I) * (1 + nu_b) - min(I) * (1 - nu_a)) < min(I) * (1 - nu_a) -
     gamma_a - gamma_b`` (at least 1), so that every step-j window of a
     base ends before any step-(j+1) window of it opens, for j < timeout.
+    Params whose earliest step-1 window opens before its base are rejected.
     """
 
     L: int = 256
@@ -56,13 +57,11 @@ class ProtocolParams:
     def __post_init__(self) -> None:
         if self.L < 2 or self.L & (self.L - 1):
             raise ValueError(f"L must be a power of two, got {self.L}")
-        # NaN fails these range checks; a bool is not taken for a number
+        # NaN fails this range check; a bool is not taken for a number
         if isinstance(self.t, bool) or not 0 < self.t < math.inf:
             raise ValueError(f"t must be finite and positive, got {self.t}")
         for name in ("nu_a", "nu_b", "gamma_a", "gamma_b"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+            check_finite_nonnegative(name, getattr(self, name))
         if self.delta_map is not None:
             # normalize to a tuple so the instance stays hashable
             object.__setattr__(self, "delta_map", tuple(float(v) for v in self.delta_map))
@@ -84,6 +83,9 @@ class ProtocolParams:
         # a step-j window ends by j*hi + gamma_b and a step-(j+1) window
         # starts from (j+1)*lo - gamma_a, whatever the candidate
         lo, hi = min(intervals) * (1 - self.nu_a), max(intervals) * (1 + self.nu_b)
+        if lo <= self.gamma_a:  # sigma and the fd trial count a window from its opening
+            raise ValueError(f"a step-1 window opens before its base: min(intervals) * "
+                             f"(1 - nu_a) = {lo:g} s must exceed gamma_a = {self.gamma_a:g} s")
         room, spread = lo - (self.gamma_a + self.gamma_b), hi - lo
         max_timeout = 1 if room <= 0 else max(1, math.ceil(room / spread)) if spread else math.inf
         object.__setattr__(self, "max_timeout", max_timeout)
@@ -95,6 +97,13 @@ class ProtocolParams:
         if self.delta_map is None:
             return self.t * (s - self.L // 4) / DEFAULT_DELTA_DIVISOR
         return self.delta_map[s]
+
+
+def check_finite_nonnegative(name: str, value: float) -> float:
+    """Validate that ``value`` is a finite number >= 0, not NaN or a bool, and return it."""
+    if isinstance(value, bool) or not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+    return value
 
 
 def check_acc(x: int, L: int = 256) -> int:

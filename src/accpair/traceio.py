@@ -161,14 +161,14 @@ def load_experiment_config(inp: IO[str]):
     if bad:
         raise ConfigError(f"unknown params keys: {', '.join(bad)}")
 
+    L = params_doc.get("L")  # checked first: construction builds a table of L intervals
+    if isinstance(L, int) and not isinstance(L, bool) and L > 256:
+        raise ConfigError(f"params.L {L} exceeds 256: a trace's acc_hex column holds one byte")
     try:
         params = ProtocolParams(**params_doc)
         cfg = SimConfig(params=params, **{k: doc[k] for k in _TRACE_KEYS if k in doc})
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
-    if params.L > 256:
-        raise ConfigError(f"params.L {params.L} exceeds 256: a trace's acc_hex column "
-                          "holds one byte")
     out = doc.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError(f"out must be a path string or null, got {out!r}")

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from accpair.analytic import (
@@ -362,6 +362,17 @@ class TestLateStepWindows:
         assert abs(hits / trials - expected) <= 3 * se, (hits / trials, expected)
 
 
+def params_or_reject(**fields):
+    """``ProtocolParams(**fields)``, or a rejected draw when construction
+    refuses them because a step-1 window would open before its base."""
+    try:
+        return ProtocolParams(**fields)
+    except ValueError as exc:
+        if "opens before its base" not in str(exc):
+            raise
+        reject()
+
+
 @given(
     L=st.sampled_from([4, 8, 16, 32, 64]),
     t=st.floats(0.01, 64.0),
@@ -372,7 +383,7 @@ class TestLateStepWindows:
 )
 @settings(max_examples=40, deadline=None)
 def test_sigma_matches_window_sweep_on_random_geometry(L, t, nu_a, nu_b, gamma_a, gamma_b):
-    params = ProtocolParams(L=L, t=t, nu_a=nu_a, nu_b=nu_b, gamma_a=gamma_a, gamma_b=gamma_b)
+    params = params_or_reject(L=L, t=t, nu_a=nu_a, nu_b=nu_b, gamma_a=gamma_a, gamma_b=gamma_b)
     for y in range(L):
         for m in range(L.bit_length()):
             s, oracle = sigma(y, m, params), swept_sigma(y, m, params)
@@ -426,12 +437,8 @@ def test_closed_form_matches_engine_probe(L, t, nu_a, nu_b, gamma_a, gamma_b, wi
         index = [jitter_index(x, ProtocolParams(L=L)) for x in range(L)]
         mean = sum(raw[s] for s in index) / L
         delta_map = tuple(t * (v - mean) for v in raw)
-    params = ProtocolParams(L=L, t=t, nu_a=nu_a, nu_b=nu_b, gamma_a=gamma_a,
-                            gamma_b=gamma_b, delta_map=delta_map)
-    # every step-1 window opens after its base: sigma also counts a window's
-    # time before the base arrives, which no arrival can pair in (see
-    # test_closed_form_counts_windows_open_before_the_base)
-    assume(min(params.intervals) * (1 - nu_a) > gamma_a)
+    params = params_or_reject(L=L, t=t, nu_a=nu_a, nu_b=nu_b, gamma_a=gamma_a,
+                              gamma_b=gamma_b, delta_map=delta_map)
     M = data.draw(st.integers(0, L.bit_length() - 1), label="M")
     y = data.draw(st.integers(0, L - 1), label="y")
     expected = _beta_weighted_duration(y, M, params)
@@ -439,12 +446,17 @@ def test_closed_form_matches_engine_probe(L, t, nu_a, nu_b, gamma_a, gamma_b, wi
     assert abs(got - expected) <= 1e-12 * expected, (got, expected)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="sigma counts step-1 window time before the base arrives")
-def test_closed_form_counts_windows_open_before_the_base():
-    # a 0.5 s jitter allowance opens every window 0.375 s before a base
-    # whose intervals are about 0.125 s, so only 0.125 s of it can pair
-    params = ProtocolParams(L=4, t=0.125, nu_a=0.0, nu_b=0.0, gamma_a=0.5, gamma_b=0.0)
+def test_params_with_windows_open_before_the_base_are_rejected():
+    # a 0.5 s jitter allowance would open every window 0.375 s before a base
+    # whose intervals are about 0.125 s: sigma would count all 0.5 s of it,
+    # though only the 0.125 s after the base can pair
+    with pytest.raises(ValueError, match="opens before its base"):
+        ProtocolParams(L=4, t=0.125, nu_a=0.0, nu_b=0.0, gamma_a=0.5, gamma_b=0.0)
+    # the earliest window may not open at the base either, only after it
+    lo = min(ProtocolParams(L=4, t=0.125, nu_a=0.01).intervals) * (1 - 0.01)
+    with pytest.raises(ValueError, match="opens before its base"):
+        ProtocolParams(L=4, t=0.125, nu_a=0.01, gamma_a=lo)
+    params = ProtocolParams(L=4, t=0.125, nu_a=0.01, gamma_a=lo * (1 - 1e-9))
     assert probed_beta_weighted_duration(0, 0, params) == pytest.approx(
         _beta_weighted_duration(0, 0, params), rel=1e-12)
 
@@ -488,6 +500,11 @@ class TestMaxDistinguishableMeters:
         assert max_distinguishable_meters(0.001, 1, PARAMS) < max_distinguishable_meters(
             0.001, 0, PARAMS
         )
+
+    def test_zero_when_one_meter_exceeds_the_target(self):
+        q1 = mean_qM(0, 1, PARAMS)
+        assert max_distinguishable_meters(q1 / 2, 0, PARAMS) == 0
+        assert max_distinguishable_meters(q1, 0, PARAMS) >= 1
 
     def test_saturation_flagged(self):
         # without clock tolerance or jitter every window is empty, so no

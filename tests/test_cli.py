@@ -48,6 +48,18 @@ class TestAnalytic:
         assert main(["analytic", "--M", "9", "--n-range", "0:2"]) == EXIT_USAGE
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("text", ["5:3", "0:5:0", "-1:5"])
+    def test_empty_or_negative_range_is_usage_error_without_output(self, tmp_path, capsys, text):
+        assert exit_code(tmp_path, ["analytic", f"--n-range={text}"]) == EXIT_USAGE
+        assert "invalid --n-range" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_stdout_gets_the_bytes_of_out(self, tmp_path, capsys):
+        argv = ["analytic", "--M", "1", "--n-range", "0:400:200", "--acc", "0x40"]
+        _, text = run(tmp_path, *argv)
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == text
+
     def test_large_range_is_not_materialized(self):
         assert len(_parse_n_range("1:1000000000000")) == 10**12
 
@@ -132,6 +144,14 @@ class TestReplay:
         code, text = run(tmp_path, "replay", str(trace))
         assert code == EXIT_OK
         assert text.splitlines()[1] == "1,2,0,0,0,,"
+
+    def test_blank_line_between_rows_is_skipped(self, tmp_path):
+        rows = ["0.000000000,40,1,m,40\n", "16.000000000,41,1,m,41\n"]
+        trace = tmp_path / "t.csv"
+        trace.write_text(HEADER + "".join(rows))
+        _, plain = run(tmp_path, "replay", str(trace))
+        trace.write_text(HEADER + "\n".join(rows))
+        assert run(tmp_path, "replay", str(trace)) == (EXIT_OK, plain)
 
     def test_no_pairing_leaves_columns_empty(self, tmp_path):
         trace = tmp_path / "t.csv"
@@ -289,6 +309,12 @@ class TestIntegerOptions:
         assert "or a byte value" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("acc", ["0x100", "256", "-1"])
+    def test_acc_outside_the_counter_rejected_without_output(self, tmp_path, acc):
+        argv = ["analytic", "--n-range", "0:0", f"--acc={acc}"]
+        assert exit_code(tmp_path, argv) == EXIT_USAGE
+        assert not (tmp_path / "out.csv").exists()
+
     def test_hex_acc_still_accepted(self, tmp_path):
         _, hexa = run(tmp_path, "analytic", "--n-range", "10:10", "--acc", "0x40")
         _, decimal = run(tmp_path, "analytic", "--n-range", "10:10", "--acc", "64")
@@ -380,6 +406,12 @@ class TestGentrace:
         cfg = self.write_config(tmp_path, n=2, horizon=40.0, params={"L": 512})
         code, text = run(tmp_path, "gentrace", "--config", str(cfg))
         assert (code, text) == (EXIT_PARSE, None)
+
+    def test_params_not_an_object_is_parse_error(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, n=2, horizon=40.0, params=[["L", 16]])
+        code, text = run(tmp_path, "gentrace", "--config", str(cfg))
+        assert (code, text) == (EXIT_PARSE, None)
+        assert "params must be a JSON object" in capsys.readouterr().err
 
     def test_config_directory_is_parse_error(self, tmp_path):
         code, _ = run(tmp_path, "gentrace", "--config", str(tmp_path))

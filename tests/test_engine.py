@@ -172,6 +172,11 @@ class TestOnArrival:
             seen.add(arrival.meter_id)
 
 
+def test_unknown_policy_rejected():
+    with pytest.raises(ValueError, match="unknown slot-creation policy 'x'"):
+        PairingEngine(policy="x")
+
+
 class TestAccDomain:
     SMALL = ProtocolParams(L=16)
 

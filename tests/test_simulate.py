@@ -64,6 +64,8 @@ class TestSimConfig:
             {"body_error_prob": 2.0},
             {"body_error_prob": -0.5},
             {"n": 2.5},
+            {"n": -1},
+            {"timeout": 0},
             {"trials": 10.0},
             {"timeout": True},
             {"rng_seed": 1.0},

@@ -79,6 +79,11 @@ class TestProtocolParams:
         p = ProtocolParams(delta_map=table)
         assert p.delta(10) == PARAMS.delta(10)
 
+    @pytest.mark.parametrize("s", [-1, 129])
+    def test_delta_rejects_jitter_index_outside_the_table(self, s):
+        with pytest.raises(ValueError, match=f"jitter index {s} outside 0..128"):
+            PARAMS.delta(s)
+
     def test_delta_map_length_checked(self):
         with pytest.raises(ValueError, match="cover jitter"):
             ProtocolParams(delta_map=[0.0] * 10)
@@ -171,6 +176,10 @@ class TestNominalInterval:
 
     def test_zero_steps(self):
         assert nominal_interval(0x13, 0, PARAMS) == 0.0
+
+    def test_rejects_negative_steps(self):
+        with pytest.raises(ValueError, match="step count must be nonnegative, got -1"):
+            nominal_interval(0, -1, PARAMS)
 
     def test_two_steps(self):
         assert nominal_interval(0x40, 2, PARAMS) == pytest.approx(31.9921875)

@@ -207,3 +207,8 @@ class TestExperimentConfig:
         for L in (16, 256):
             cfg, _ = load_experiment_config(self.good(params={"L": L}))
             assert cfg.params.L == L
+
+    def test_counter_is_checked_before_the_params_are_built(self):
+        # building params of this L would first fill a table of L intervals
+        with pytest.raises(ConfigError, match="params.L 65536 exceeds 256"):
+            load_experiment_config(self.good(params={"L": 65536}))
