@@ -4,8 +4,9 @@ synthetic trace generation and trace replay.
 All randomness flows through per-trial substreams derived from a single
 seed, so trials are reproducible independently of execution order.  The
 Monte-Carlo trials therefore run on every CPU in the process's affinity
-mask, in forked workers, and the result does not depend on how many there
-are: ``taskset -c 0`` runs them serially, with the same output.
+mask, in ``multiprocessing`` fork processes (``_map_trials`` says why not a
+pool), and the result does not depend on how many there are:
+``taskset -c 0`` runs them serially, with the same output.
 
 numpy is imported inside the functions that draw or summarise with it, not
 at module level: ``import accpair``, ``analytic`` and ``replay`` never use
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, List, NoReturn, Optional, Tuple, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple, TypeVar
 
 from .engine import ANALYSIS, DEPLOYMENT, PairingEngine
 from .slots import PacketArrival
@@ -25,15 +26,17 @@ from .timing import ProtocolParams, check_acc, check_finite_nonnegative, check_t
 from .timing import nominal_interval
 
 if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
+
     import numpy as np
 
 #: Bit count of the modeled non-ACC packet remainder; a CRC failure can be
 #: caused by any of these bits even when the ACC itself survives.
 BODY_BITS = 232
 
-#: Fewest trials worth a forked worker.  A fork, exit and waitpid round trip
-#: costs about 2 ms with numpy loaded, some 26 fd trials of 80 us, so 256
-#: trials keep it to about 10% of a worker's time.
+#: Fewest trials worth a forked worker.  Starting and joining one costs about
+#: 3 ms with numpy loaded, some 40 fd trials of 70 us, so 256 trials keep it
+#: to about 15% of a worker's time.
 MIN_TRIALS_PER_WORKER = 256
 
 T = TypeVar("T")
@@ -140,79 +143,61 @@ def _trial_rng(seed: int, index: int) -> np.random.Generator:
 def _map_trials(trial: Callable[[SimConfig, int], T], cfg: SimConfig) -> List[T]:
     """``trial(cfg, i)`` for every ``i`` in ``range(cfg.trials)``, in index order.
 
-    Contiguous index ranges go to one process per CPU in the affinity mask,
-    at most one per ``MIN_TRIALS_PER_WORKER`` trials.  This process runs the
-    first range, and its first trial before any fork, so the workers inherit
-    what that trial loads (numpy, the window rows).  Each other range runs in
-    a forked child that pickles its results, or its exception, to a pipe; the
-    exception is re-raised here with its own type.  With one worker (one
-    CPU, fewer than ``2 * MIN_TRIALS_PER_WORKER`` trials, or no ``os.fork``)
-    the one range is the plain serial loop and nothing is forked.
-
-    The workers are forked by hand because a ``multiprocessing`` fork
-    ``Pool`` waits forever for a worker that dies, and was no faster.
+    Contiguous index ranges go to one process per CPU in the affinity mask, at
+    most one per ``MIN_TRIALS_PER_WORKER`` trials.  This process runs the first
+    range, and its first trial before any fork, so the workers inherit what it
+    loads (numpy, the window rows).  Each other range runs in a fork ``Process``
+    that sends its results, or its exception, through a one-way ``Pipe``; the
+    exception is re-raised here, and a worker that sends nothing is named by its
+    exit status.  With one worker (one CPU, fewer than ``2 * MIN_TRIALS_PER_WORKER``
+    trials, or no ``os.fork``) the loop is serial and imports no ``multiprocessing``.
+    A fork ``Pool`` would wait forever for a worker that dies, and a
+    ``ProcessPoolExecutor`` loses its exit status and was slower to start.
     """
     workers = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         workers = max(1, min(len(os.sched_getaffinity(0)), cfg.trials // MIN_TRIALS_PER_WORKER))
-    import pickle
-    import signal
+    if workers == 1:
+        return [trial(cfg, i) for i in range(cfg.trials)]
+    import multiprocessing
 
+    ctx = multiprocessing.get_context("fork")
     bounds = [cfg.trials * w // workers for w in range(workers + 1)]
     results = [trial(cfg, 0)]
-    pids: List[int] = []  # children not yet reaped, in range order
-    pipes = []
+    started = []  # (process, read end), in range order
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            read_fd, write_fd = os.pipe()
-            pipes.append(os.fdopen(read_fd, "rb"))
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _trial_worker(trial, cfg, range(lo, hi), write_fd)
-            finally:
-                os.close(write_fd)  # only the child writes
-            pids.append(pid)
+            reader, writer = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_trial_worker, args=(trial, cfg, range(lo, hi), writer))
+            proc.start()
+            writer.close()  # only the child writes, so its exit ends the pipe
+            started.append((proc, reader))
         results.extend(trial(cfg, i) for i in range(1, bounds[1]))
-        for pipe in pipes:
-            data = pipe.read()  # all of it before waitpid: it can exceed the pipe buffer
-            code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
-            del pids[0]
-            if code != 0:
-                raise RuntimeError(f"trial worker exited with status {code} and sent no result")
-            kind, value = pickle.loads(data)
-            if kind == "error":
-                raise value
-            results.extend(value)
+        for proc, reader in started:
+            try:
+                outcome = reader.recv()  # before join: it can exceed the pipe buffer
+            except EOFError:  # it died before it sent anything
+                outcome = None
+            proc.join()
+            if not isinstance(outcome, list):  # its exception, or None
+                raise outcome or RuntimeError(f"trial worker exited with status {proc.exitcode}")
+            results.extend(outcome)
         return results
     finally:
-        for pid in pids:  # unreaped, so at worst a zombie: kill cannot miss
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for pipe in pipes:
-            pipe.close()
+        for proc, reader in started:
+            proc.kill()  # a no-op once joined
+            proc.join()
+            reader.close()
 
 
 def _trial_worker(trial: Callable[[SimConfig, int], T], cfg: SimConfig,
-                  indices: range, write_fd: int) -> NoReturn:
-    """A forked child's whole life: run ``indices``, pickle the outcome, exit.
-
-    It leaves through ``os._exit`` whatever happens, so it never returns into
-    the parent's frames nor flushes a buffer the parent also holds.
-    """
-    import pickle
-
-    status = 1
+                  indices: range, writer: Connection) -> None:
+    """A worker process's whole job: send back the results of ``indices``, or their error."""
     try:
-        try:
-            payload = ("ok", [trial(cfg, i) for i in indices])
-        except Exception as exc:
-            payload = ("error", exc)
-        with os.fdopen(write_fd, "wb") as pipe:
-            pickle.dump(payload, pipe)
-        status = 0
-    finally:
-        os._exit(status)
+        outcome = [trial(cfg, i) for i in indices]
+    except BaseException as exc:  # Ctrl-C too: sent, and re-raised by the parent
+        outcome = exc
+    writer.send(outcome)
 
 
 def _flip_mask(rng: np.random.Generator, epsilon: float, L: int) -> int:

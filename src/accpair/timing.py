@@ -26,7 +26,7 @@ class ProtocolParams:
     """Timing constants of the periodic broadcast scheme.
 
     Attributes:
-        L: ACC modulus (power of two).
+        L: ACC modulus, an int power of two; above 4096 only with a ``delta_map``.
         t: mean transmission interval in seconds.
         nu_a: cumulative relative clock tolerance (dimensionless).
         nu_b: second cumulative relative clock tolerance.
@@ -55,8 +55,8 @@ class ProtocolParams:
     delta_map: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.L < 2 or self.L & (self.L - 1):
-            raise ValueError(f"L must be a power of two, got {self.L}")
+        if type(self.L) is not int or self.L < 2 or self.L & (self.L - 1):  # bool is excluded
+            raise ValueError(f"L must be an integer power of two, got {self.L!r}")
         # NaN fails this range check; a bool is not taken for a number
         if isinstance(self.t, bool) or not 0 < self.t < math.inf:
             raise ValueError(f"t must be finite and positive, got {self.t}")
@@ -70,6 +70,8 @@ class ProtocolParams:
                     f"delta_map must cover jitter indices 0..{self.L // 2}, "
                     f"got length {len(self.delta_map)}"
                 )
+        elif self.L >= 4 * DEFAULT_DELTA_DIVISOR:  # then t + delta(0) = t * (1 - L / 8192) <= 0
+            raise ValueError(f"L = {self.L} needs a delta_map: built-in offsets need L <= 4096")
         intervals = tuple(self.t + self.delta(jitter_index(x, self)) for x in range(self.L))
         object.__setattr__(self, "intervals", intervals)
         bad = next((v for v in intervals if not 0 < v < math.inf), None)

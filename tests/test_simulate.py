@@ -1,5 +1,6 @@
 import hashlib
 import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -346,17 +347,21 @@ class TestParallelTrials:
             simulate_false_detection(SimConfig(trials=6))
         assert_no_child_left()
 
-    def test_worker_that_dies_without_a_result_names_its_status(self, monkeypatch):
+    @pytest.mark.parametrize("die, status", [
+        (lambda: os._exit(3), "3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "-9"),
+    ], ids=["exit-3", "sigkill"])
+    def test_worker_that_dies_without_a_result_names_its_status(self, monkeypatch, die, status):
         use_cpus(monkeypatch, 2)
         parent = os.getpid()
 
         def trial(cfg, i):
             if os.getpid() != parent:
-                os._exit(3)
+                die()
             return False
 
         monkeypatch.setattr(simulate, "_fd_trial", trial)
-        with pytest.raises(RuntimeError, match="status 3"):
+        with pytest.raises(RuntimeError, match=f"status {status}"):
             simulate_false_detection(SimConfig(trials=2))
         assert_no_child_left()
 
@@ -381,3 +386,16 @@ class TestParallelTrials:
                                env=dict(os.environ, PYTHONPATH=src), timeout=60)
         assert (child.returncode, child.stderr) == (0, "")
         assert child.stdout == "unflushed\n"
+
+    def test_serial_trials_do_not_import_multiprocessing(self):
+        script = (
+            "import os, sys\n"
+            "from accpair import simulate\n"
+            "os.sched_getaffinity = lambda pid: {0}\n"
+            "simulate.simulate_false_detection(simulate.SimConfig(n=400, M=1, trials=600))\n"
+            "print('multiprocessing' in sys.modules)\n"
+        )
+        src = str(Path(accpair.__file__).resolve().parents[1])
+        child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                               env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert (child.returncode, child.stderr, child.stdout) == (0, "", "False\n")

@@ -42,6 +42,15 @@ class TestProtocolParams:
         with pytest.raises(ValueError, match="power of two"):
             ProtocolParams(L=100)
 
+    @pytest.mark.parametrize("L, message", [
+        (2**20, "needs a delta_map"),  # refused before its table of 2**20 intervals
+        (8192, "needs a delta_map"),   # the interval after jitter index 0 would be 0 s
+        (4.0, "integer power of two"),
+    ])
+    def test_modulus_is_checked_before_the_interval_table(self, L, message):
+        with pytest.raises(ValueError, match=message):
+            ProtocolParams(L=L)
+
     def test_rejects_negative_tolerance(self):
         for name in ("nu_a", "nu_b", "gamma_a", "gamma_b"):
             for value in (-1e-6, math.inf, math.nan, True, False):
