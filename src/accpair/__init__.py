@@ -20,8 +20,6 @@ from .slots import (
 )
 from .simulate import (
     SimConfig,
-    SimReport,
-    StepCounts,
     generate_trace,
     replay,
     simulate_false_detection,
@@ -47,9 +45,7 @@ __all__ = [
     "ProtocolParams",
     "SaturationError",
     "SimConfig",
-    "SimReport",
     "SlotStore",
-    "StepCounts",
     "TraceOrderError",
     "VirtualSlot",
     "classify",

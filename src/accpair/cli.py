@@ -118,18 +118,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         horizon=args.horizon,
         rng_seed=_default_seed() if args.seed is None else args.seed,
     )
-    if args.kind == "fd":
-        report = simulate_false_detection(cfg)
-        estimate, se = report.fd_rate, report.fd_std_error
-    else:
-        report = simulate_memory(cfg)
-        estimate, se = report.memory_per_meter, report.memory_std_error
+    estimate, se = (simulate_false_detection if args.kind == "fd" else simulate_memory)(cfg)
     with _output(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["kind", "n", "M", "epsilon", "p", "trials", "estimate", "std_error"])
         writer.writerow(
             [args.kind, args.n, args.M, f"{args.epsilon:g}", f"{args.p:g}",
-             report.trials, f"{estimate:.9e}", f"{se:.9e}"]
+             cfg.trials, f"{estimate:.9e}", f"{se:.9e}"]
         )
     return EXIT_OK
 
@@ -140,18 +135,22 @@ def cmd_replay(args: argparse.Namespace) -> int:
     # the trace streams through the engine; the output is opened only once
     # every row has passed, so a trace that fails late writes nothing
     with open(args.trace, "r", encoding="utf-8", newline="") as fh:
-        report = replay(iter_trace(fh), engine)
+        replay(iter_trace(fh), engine)
+    # engine.pairs holds 8 counts per step: cc, ce, ec, ee, then the false ones among each
+    p = engine.pairs
+    truth_available = engine.unverified == 0 and any(p)
     with _output(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["step", "cc", "ce", "ec", "ee", "ee_false", "fd_percent"])
         if engine.arrivals:
-            for sc in report.per_step:
-                if report.truth_available:
-                    writer.writerow(
-                        [sc.step, sc.cc, sc.ce, sc.ec, sc.ee, sc.ee_false, f"{sc.fd_percent:.4f}"]
-                    )
+            for j in range(0, len(p), 8):
+                if truth_available:
+                    pairings = sum(p[j:j + 4])
+                    fd_percent = 100.0 * sum(p[j + 4:j + 8]) / pairings if pairings else 0.0
+                    false_cols = [p[j + 7], f"{fd_percent:.4f}"]
                 else:
-                    writer.writerow([sc.step, sc.cc, sc.ce, sc.ec, sc.ee, "", ""])
+                    false_cols = ["", ""]
+                writer.writerow([j // 8 + 1, *p[j:j + 4], *false_cols])
     return EXIT_OK
 
 

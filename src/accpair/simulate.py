@@ -95,45 +95,6 @@ class SimConfig:
         return -np.expm1(BODY_BITS * np.log1p(-self.epsilon))
 
 
-@dataclass
-class StepCounts:
-    """Pairing tallies for one step value, Correct/Erroneous by class."""
-
-    step: int
-    cc: int = 0
-    ce: int = 0
-    ec: int = 0
-    ee: int = 0
-    ee_false: int = 0
-    false_pairs: int = 0
-
-    @property
-    def pairings(self) -> int:
-        return self.cc + self.ce + self.ec + self.ee
-
-    @property
-    def fd_percent(self) -> float:
-        """False pairings as a percentage of all pairings at this step."""
-        return 100.0 * self.false_pairs / self.pairings if self.pairings else 0.0
-
-
-@dataclass
-class SimReport:
-    """Aggregated result of a simulation or replay run."""
-
-    trials: int = 1
-    fd_rate: Optional[float] = None
-    fd_std_error: Optional[float] = None
-    memory_per_meter: Optional[float] = None
-    memory_std_error: Optional[float] = None
-    per_step: Optional[List[StepCounts]] = None
-    truth_available: bool = False
-
-    @property
-    def total_pairings(self) -> int:
-        return sum(s.pairings for s in self.per_step) if self.per_step else 0
-
-
 def _trial_rng(seed: int, index: int) -> np.random.Generator:
     import numpy as np
 
@@ -262,20 +223,15 @@ def generate_trace(cfg: SimConfig, rng: Optional[np.random.Generator] = None) ->
     return arrivals
 
 
-def replay(trace: Iterable[PacketArrival], engine: PairingEngine) -> SimReport:
-    """Run a time-sorted trace through the caller's engine and tabulate.
+def replay(trace: Iterable[PacketArrival], engine: PairingEngine) -> None:
+    """Run a time-sorted trace through the caller's engine.
 
-    The engine keeps the tally.  Its ``pairs`` become one ``StepCounts``
-    row per step up to its timeout, counting every pairing it has made,
-    before the trace too.  ``truth_available`` is set when at least one
-    pairing happened and every one had ground truth on both packets.
+    The engine keeps the tally: ``engine.pairs`` counts every pairing it has
+    made by step and class, before the trace too, and ``engine.unverified``
+    those without ground truth on both packets.
     """
     for pkt in trace:
         engine.on_arrival(pkt)
-    p = engine.pairs
-    steps = [StepCounts(j // 8 + 1, *p[j:j + 4], ee_false=p[j + 7],
-                        false_pairs=sum(p[j + 4:j + 8])) for j in range(0, len(p), 8)]
-    return SimReport(trials=1, per_step=steps, truth_available=engine.unverified == 0 and any(p))
 
 
 # ---------------------------------------------------------------------------
@@ -348,20 +304,16 @@ def _fd_trial(cfg: SimConfig, i: int) -> bool:
     return _false_detection_trial(cfg, i % cfg.params.L, _trial_rng(cfg.rng_seed, i))
 
 
-def simulate_false_detection(cfg: SimConfig) -> SimReport:
-    """Estimate the false-detection rate by independent trials.
+def simulate_false_detection(cfg: SimConfig) -> Tuple[float, float]:
+    """Estimate the false-detection rate by independent trials: ``(rate, std_error)``.
 
     Base ACCs are swept uniformly over the full range so the estimate is
     the mean over ACC values, matching how the analytic curves are
     reported.  The trials run on every CPU in the affinity mask; the
-    report is the same for any CPU count.
+    result is the same for any CPU count.
     """
     rate = sum(_map_trials(_fd_trial, cfg)) / cfg.trials
-    return SimReport(
-        trials=cfg.trials,
-        fd_rate=rate,
-        fd_std_error=math.sqrt(rate * (1.0 - rate) / cfg.trials),
-    )
+    return rate, math.sqrt(rate * (1.0 - rate) / cfg.trials)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +326,8 @@ def _memory_trial(cfg: SimConfig, i: int) -> float:
     return engine.store.peak / cfg.n if cfg.n else 0.0
 
 
-def simulate_memory(cfg: SimConfig) -> SimReport:
-    """Average maximum number of simultaneously live slots per meter.
+def simulate_memory(cfg: SimConfig) -> Tuple[float, float]:
+    """Average maximum number of simultaneously live slots per meter: ``(mean, std_error)``.
 
     Full transmission schedules of all meters are replayed through a
     ``DEPLOYMENT`` engine, so every arrival creates slots, mirroring how
@@ -384,15 +336,11 @@ def simulate_memory(cfg: SimConfig) -> SimReport:
     cost, so a run of fewer than ``2 * MIN_TRIALS_PER_WORKER`` trials, as
     memory runs usually are, stays serial; a longer one runs on every CPU
     in the affinity mask.  The trials are summarised in index order, so the
-    report is the same for any CPU count.
+    result is the same for any CPU count.
     """
     import numpy as np
 
     per_trial = _map_trials(_memory_trial, cfg)
     mean = float(np.mean(per_trial))
     se = float(np.std(per_trial, ddof=1) / np.sqrt(len(per_trial))) if len(per_trial) > 1 else 0.0
-    return SimReport(
-        trials=cfg.trials,
-        memory_per_meter=mean,
-        memory_std_error=se,
-    )
+    return mean, se

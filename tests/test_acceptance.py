@@ -95,12 +95,12 @@ def test_criterion_2_timebin_oracle():
 def test_criterion_3_mc_vs_analytic(n, m):
     trials = 100_000
     cfg = SimConfig(n=n, M=m, trials=trials, rng_seed=1000 + 10 * m + n)
-    rep = simulate_false_detection(cfg)
+    rate, rate_se = simulate_false_detection(cfg)
     expected = mean_qM(m, n, PARAMS)
-    se = max(rep.fd_std_error, (expected * (1 - expected) / trials) ** 0.5)
-    dev = abs(rep.fd_rate - expected) / se
+    se = max(rate_se, (expected * (1 - expected) / trials) ** 0.5)
+    dev = abs(rate - expected) / se
     report(3, dev <= 3.0,
-           f"n={n} M={m}: simulated {rep.fd_rate:.3e} vs analytic {expected:.3e} "
+           f"n={n} M={m}: simulated {rate:.3e} vs analytic {expected:.3e} "
            f"({dev:.2f} std errors, {trials} trials)")
 
 
@@ -115,19 +115,13 @@ def test_criterion_5_distinguishability():
 
 
 def test_criterion_6_memory_exactness():
-    v0 = simulate_memory(SimConfig(n=20, M=0, trials=3, horizon=200.0, rng_seed=3))
-    v1 = simulate_memory(SimConfig(n=20, M=1, trials=3, horizon=200.0, rng_seed=3))
-    vn = simulate_memory(
+    v0, _ = simulate_memory(SimConfig(n=20, M=0, trials=3, horizon=200.0, rng_seed=3))
+    v1, _ = simulate_memory(SimConfig(n=20, M=1, trials=3, horizon=200.0, rng_seed=3))
+    vn, _ = simulate_memory(
         SimConfig(n=20, M=1, epsilon=2 / 32, trials=3, horizon=200.0, rng_seed=3)
     )
-    ok = (
-        v0.memory_per_meter == 1.0
-        and v1.memory_per_meter == 9.0
-        and vn.memory_per_meter > 9.0
-    )
-    report(6, ok,
-           f"slots/meter: M=0 -> {v0.memory_per_meter}, M=1 -> {v1.memory_per_meter}, "
-           f"M=1 eps=2/32 -> {vn.memory_per_meter:.2f}")
+    report(6, v0 == 1.0 and v1 == 9.0 and vn > 9.0,
+           f"slots/meter: M=0 -> {v0}, M=1 -> {v1}, M=1 eps=2/32 -> {vn:.2f}")
 
 
 def test_criterion_7_slot_geometry():
@@ -182,10 +176,10 @@ def test_criterion_9_per_step_trend():
             rng_seed=100 + run,
         )
         engine = PairingEngine(cfg.params, M=cfg.M, policy=DEPLOYMENT, timeout=cfg.timeout)
-        rep = replay(generate_trace(cfg), engine)
-        for sc in rep.per_step:
-            false_by_step[sc.step - 1] += sc.false_pairs
-            pairs_by_step[sc.step - 1] += sc.pairings
+        replay(generate_trace(cfg), engine)
+        for j in range(10):
+            false_by_step[j] += sum(engine.pairs[8 * j + 4:8 * j + 8])
+            pairs_by_step[j] += sum(engine.pairs[8 * j:8 * j + 4])
     fd = [
         100.0 * f / p if p else 0.0 for f, p in zip(false_by_step, pairs_by_step)
     ]

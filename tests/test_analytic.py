@@ -397,7 +397,10 @@ def probed_beta_weighted_duration(y, M, params):
     The base arrives at ``-I(y)``, so the genuine next packet is due at 0.
     Between consecutive edges of the base's step-1 windows, cut to the span
     from the base to 0, beta is the number of ACCs that a clean arrival at
-    the segment's midpoint would pair with.
+    the segment's start would pair with.  Every window is half-open and every
+    segment edge is a window edge, so the windows that hold the start hold
+    the whole segment; a midpoint can round onto the excluded end of a
+    segment only a few ulps long.
     """
     base = PacketArrival(time=-params.intervals[y], acc=y, erroneous=True)
 
@@ -410,8 +413,7 @@ def probed_beta_weighted_duration(y, M, params):
                     for edge in (slot.start, slot.end)})
     total = 0.0
     for t0, t1 in zip(edges, edges[1:]):
-        probe = (t0 + t1) / 2
-        beta = sum(engine().on_arrival(PacketArrival(probe, a, False)).kind == "pair"
+        beta = sum(engine().on_arrival(PacketArrival(t0, a, False)).kind == "pair"
                    for a in range(params.L))
         total += beta * (t1 - t0)
     return total
@@ -444,6 +446,13 @@ def test_closed_form_matches_engine_probe(L, t, nu_a, nu_b, gamma_a, gamma_b, wi
     expected = _beta_weighted_duration(y, M, params)
     got = probed_beta_weighted_duration(y, M, params)
     assert abs(got - expected) <= 1e-12 * expected, (got, expected)
+
+
+def test_probe_counts_a_window_one_subnormal_wide():
+    # the own window is [-5e-324, 0): its midpoint rounds onto the excluded 0.0
+    params = ProtocolParams(L=4, t=1.0, nu_a=0.0, nu_b=0.0, gamma_a=5e-324, gamma_b=0.0)
+    assert _beta_weighted_duration(0, 0, params) == 5e-324
+    assert probed_beta_weighted_duration(0, 0, params) == 5e-324
 
 
 def test_params_with_windows_open_before_the_base_are_rejected():

@@ -153,6 +153,21 @@ class TestReplay:
         trace.write_text(HEADER + "\n".join(rows))
         assert run(tmp_path, "replay", str(trace)) == (EXIT_OK, plain)
 
+    @pytest.mark.parametrize("rows, step_1", [
+        # two erroneous packets of different meters pair falsely
+        (["0.000000000,40,0,a,40", "16.000000000,41,0,b,41"], "1,0,0,0,1,1,100.0000"),
+        # a false pairing outside EE counts in fd_percent but not in ee_false
+        (["0.000000000,40,1,a,40", "16.000000000,41,1,b,41"], "1,1,0,0,0,0,100.0000"),
+        (["0.000000000,40,1,m,40", "16.000000000,41,1,m,41",
+          "300.000000000,40,0,a,40", "316.000000000,41,0,b,41"], "1,1,0,0,1,1,50.0000"),
+    ])
+    def test_false_pairing_columns(self, tmp_path, rows, step_1):
+        trace = tmp_path / "t.csv"
+        trace.write_text(HEADER + "".join(row + "\n" for row in rows))
+        code, text = run(tmp_path, "replay", str(trace))
+        assert code == EXIT_OK
+        assert text.splitlines()[1] == step_1
+
     def test_no_pairing_leaves_columns_empty(self, tmp_path):
         trace = tmp_path / "t.csv"
         trace.write_text(HEADER + "0.000000000,40,1,m,40\n5.000000000,41,1,n,41\n")

@@ -152,19 +152,17 @@ class TestReplay:
             PacketArrival(time=31.9921875, acc=0x42, erroneous=False, meter_id="m", true_acc=0x42),
         ]
         engine = PairingEngine(PARAMS, policy=DEPLOYMENT)
-        report = replay(trace, engine)
+        assert replay(trace, engine) is None
         assert engine.arrivals == 3
-        assert report.per_step[0].cc == 2
-        assert report.total_pairings == 2
-        assert report.truth_available
-        assert report.per_step[0].false_pairs == 0
+        assert engine.pairs[0] == 2  # step 1, cc
+        assert sum(engine.pairs) == 2  # both pairings, none of them false
+        assert engine.unverified == 0
 
     def test_empty_trace(self):
         engine = PairingEngine(PARAMS)
-        report = replay([], engine)
+        replay([], engine)
         assert engine.arrivals == 0
-        assert report.total_pairings == 0
-        assert not report.truth_available
+        assert not any(engine.pairs)
 
     def test_colliding_meters_yield_false_detection(self):
         # a second meter's packet lands in the slot set up by the first
@@ -172,41 +170,39 @@ class TestReplay:
             PacketArrival(time=0.0, acc=0x40, erroneous=True, meter_id="a", true_acc=0x40),
             PacketArrival(time=16.0, acc=0x41, erroneous=True, meter_id="b", true_acc=0x41),
         ]
-        report = replay(trace, PairingEngine(PARAMS, policy=DEPLOYMENT))
-        sc = report.per_step[0]
-        assert sc.ee == 1
-        assert sc.false_pairs == 1
-        assert sc.ee_false == 1
-        assert sc.fd_percent == 100.0
+        engine = PairingEngine(PARAMS, policy=DEPLOYMENT)
+        replay(trace, engine)
+        assert engine.pairs[:8] == [0, 0, 0, 1, 0, 0, 0, 1]  # one ee pairing, and it is false
+        assert sum(engine.pairs) == 2
+        assert engine.unverified == 0
 
     def test_counts_are_consistent(self):
         cfg = SimConfig(n=10, epsilon=1 / 32, horizon=300.0, rng_seed=3)
-        report = replay(generate_trace(cfg), PairingEngine(cfg.params, policy=DEPLOYMENT))
-        for sc in report.per_step:
-            assert sc.pairings == sc.cc + sc.ce + sc.ec + sc.ee
-            assert sc.false_pairs <= sc.pairings
-            assert sc.ee_false <= sc.ee
+        engine = PairingEngine(cfg.params, policy=DEPLOYMENT)
+        replay(generate_trace(cfg), engine)
+        assert any(engine.pairs) and engine.unverified == 0
+        for j in range(0, len(engine.pairs), 8):
+            counts, false = engine.pairs[j:j + 4], engine.pairs[j + 4:j + 8]
+            assert all(f <= c for c, f in zip(counts, false))  # each class's false ones among it
 
 
 class TestSimulateFalseDetection:
     def test_no_interferers(self):
-        report = simulate_false_detection(SimConfig(n=0, trials=200, rng_seed=1))
-        assert report.fd_rate == 0.0
+        assert simulate_false_detection(SimConfig(n=0, trials=200, rng_seed=1)) == (0.0, 0.0)
 
     def test_small_counter_with_bit_errors(self):
         cfg = SimConfig(params=ProtocolParams(L=16), n=400, M=1, epsilon=0.5, trials=50)
-        report = simulate_false_detection(cfg)
-        assert 0.0 <= report.fd_rate <= 1.0
+        rate, _ = simulate_false_detection(cfg)
+        assert 0.0 <= rate <= 1.0
 
     def test_rate_sane_and_deterministic(self):
         cfg = SimConfig(n=400, M=1, trials=3000, rng_seed=5)
         first = simulate_false_detection(cfg)
         second = simulate_false_detection(cfg)
         assert first == second
-        assert 0.0 < first.fd_rate < 0.05
-        assert first.fd_std_error == pytest.approx(
-            (first.fd_rate * (1 - first.fd_rate) / cfg.trials) ** 0.5
-        )
+        rate, se = first
+        assert 0.0 < rate < 0.05
+        assert se == pytest.approx((rate * (1 - rate) / cfg.trials) ** 0.5)
 
 
 #: Candidate 0x0 of base 0x8 has 0.1 s intervals; only timeout 1 orders its steps.
@@ -255,11 +251,11 @@ class TestSimulateMemory:
     def test_exact_slot_counts_without_noise(self):
         for m, expected in ((0, 1.0), (1, 9.0)):
             cfg = SimConfig(n=5, M=m, trials=2, horizon=120.0, rng_seed=3)
-            assert simulate_memory(cfg).memory_per_meter == expected
+            assert simulate_memory(cfg)[0] == expected
 
     def test_bit_errors_inflate_memory(self):
         cfg = SimConfig(n=5, M=1, epsilon=2 / 32, trials=2, horizon=120.0, rng_seed=3)
-        assert simulate_memory(cfg).memory_per_meter > 9.0
+        assert simulate_memory(cfg)[0] > 9.0
 
 
 def use_cpus(monkeypatch, count):
@@ -292,18 +288,15 @@ class TestParallelTrials:
         for cpus in (1, 2, 3):
             use_cpus(monkeypatch, cpus)
             reports.append(simulate_false_detection(cfg))
-        assert reports[0].fd_rate > 0
+        assert reports[0][0] > 0
         assert reports[1] == reports[0] and reports[2] == reports[0]
         assert _map_trials(_fd_trial, cfg) == [_fd_trial(cfg, i) for i in range(cfg.trials)]
 
     def test_memory_matches_recorded_value_on_three_workers(self, monkeypatch):
         use_cpus(monkeypatch, 3)
-        report = simulate_memory(
+        assert simulate_memory(
             SimConfig(n=20, M=1, epsilon=2 / 32, trials=3, horizon=200.0, rng_seed=3)
-        )
-        assert (report.memory_per_meter, report.memory_std_error) == (
-            27.616666666666664, 0.7822687801800888
-        )
+        ) == (27.616666666666664, 0.7822687801800888)
 
     def test_cli_writes_the_same_bytes_for_any_cpu_count(self, monkeypatch, tmp_path):
         outputs = []
