@@ -11,7 +11,7 @@ from .analytic import (
     qM,
     sigma,
 )
-from .engine import ANALYSIS, DEPLOYMENT, PairingEngine, PairingOutcome, classify, pair_distance
+from .engine import ANALYSIS, DEPLOYMENT, PairingEngine, PairingOutcome, classify
 from .slots import (
     PacketArrival,
     SlotStore,
@@ -24,7 +24,6 @@ from .simulate import (
     replay,
     simulate_false_detection,
     simulate_memory,
-    transmission_times,
 )
 from .timing import (
     ProtocolParams,
@@ -33,7 +32,6 @@ from .timing import (
     lead_time,
     nominal_interval,
     slot_bounds,
-    slot_width,
 )
 
 __all__ = [
@@ -56,7 +54,6 @@ __all__ = [
     "max_distinguishable_meters",
     "mean_qM",
     "nominal_interval",
-    "pair_distance",
     "q0",
     "qM",
     "replay",
@@ -64,8 +61,6 @@ __all__ = [
     "simulate_false_detection",
     "simulate_memory",
     "slot_bounds",
-    "slot_width",
-    "transmission_times",
 ]
 
 __version__ = "0.1.0"

@@ -29,10 +29,6 @@ EXIT_INTERNAL = 4
 SEED_ENV_VAR = "ACCPAIR_SEED"
 
 
-class UsageError(ValueError):
-    pass
-
-
 # argparse names a type= function in its errors: "invalid integer value"
 # or "invalid real value"
 def integer(text: str, base: int = 10) -> int:
@@ -52,20 +48,20 @@ def _default_seed() -> int:
             return integer(text)
         except ValueError:
             pass
-    raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {text!r}")
+    raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {text!r}")
 
 
 def _parse_n_range(text: str) -> range:
     parts = text.split(":")
     if len(parts) not in (2, 3):
-        raise UsageError(f"--n-range must be START:STOP[:STEP], got {text!r}")
+        raise ValueError(f"--n-range must be START:STOP[:STEP], got {text!r}")
     try:
         start, stop = integer(parts[0]), integer(parts[1])
         step = integer(parts[2]) if len(parts) == 3 else 1
     except ValueError:
-        raise UsageError(f"--n-range components must be integers: {text!r}") from None
+        raise ValueError(f"--n-range components must be integers: {text!r}") from None
     if step < 1 or stop < start or start < 0:
-        raise UsageError(f"invalid --n-range {text!r}")
+        raise ValueError(f"invalid --n-range {text!r}")
     return range(start, stop + 1, step)
 
 
@@ -75,7 +71,7 @@ def _parse_acc(text: str, L: int) -> Optional[object]:
     try:
         value = integer(text, 0)
     except ValueError:
-        raise UsageError(f"--acc must be 'all', 'mean' or a byte value, got {text!r}") from None
+        raise ValueError(f"--acc must be 'all', 'mean' or a byte value, got {text!r}") from None
     return check_acc(value, L)
 
 
@@ -211,9 +207,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (TraceFormatError, ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

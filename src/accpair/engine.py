@@ -40,32 +40,16 @@ class PairingOutcome:
     is_false: Optional[bool] = None   # set only when ground truth is available
 
 
-def pair_distance(slot: VirtualSlot, y_arrival: int) -> int:
-    """Total bit errors implied by pairing an arrival with a slot.
+def classify(base: PacketArrival, arrival: PacketArrival) -> Tuple[int, Optional[bool]]:
+    """Correct/Erroneous class of a pairing, plus ground-truth validity.
 
-    The slot already accounts for ``b`` errors in the base ACC; the arrival
-    adds the distance between its observed ACC and the slot's expected one.
+    Returns ``(k, is_false)`` where ``PAIR_CLASSES[k]`` is the class and
+    ``is_false`` is None unless both packets carry a meter id.
     """
-    return slot.b + hamming(slot.xi, y_arrival)
-
-
-def _classify(base: PacketArrival, arrival: PacketArrival) -> Tuple[int, Optional[bool]]:
-    """``classify`` with the class as its index into ``PAIR_CLASSES``."""
     k = 2 * bool(base.erroneous) + bool(arrival.erroneous)
     if base.meter_id is None or arrival.meter_id is None:
         return k, None
     return k, base.meter_id != arrival.meter_id
-
-
-def classify(base: PacketArrival, arrival: PacketArrival) -> Tuple[str, Optional[bool]]:
-    """Correct/Erroneous class of a pairing, plus ground-truth validity.
-
-    Returns ``(pair_class, is_false)`` where ``pair_class`` is one of
-    ``PAIR_CLASSES`` and ``is_false`` is None unless both packets carry a
-    meter id.
-    """
-    k, is_false = _classify(base, arrival)
-    return PAIR_CLASSES[k], is_false
 
 
 class PairingEngine:
@@ -130,7 +114,7 @@ class PairingEngine:
         best: Optional[VirtualSlot] = None
         best_key = None
         for slot in candidates:
-            d = pair_distance(slot, pkt.acc)
+            d = slot.b + hamming(slot.xi, pkt.acc)  # the base's errors plus the arrival's
             if d > self.M:
                 continue
             key = (d, slot.step, slot.seq)
@@ -138,7 +122,7 @@ class PairingEngine:
                 best, best_key = slot, key
 
         if best is not None:
-            k, is_false = _classify(best.base, pkt)
+            k, is_false = classify(best.base, pkt)
             i = 8 * (best.step - 1) + k
             self.pairs[i] += 1
             if is_false is None:

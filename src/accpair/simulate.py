@@ -22,8 +22,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple, Typ
 
 from .engine import ANALYSIS, DEPLOYMENT, PairingEngine
 from .slots import PacketArrival
-from .timing import ProtocolParams, check_acc, check_finite_nonnegative, check_threshold
-from .timing import nominal_interval
+from .timing import ProtocolParams, check_finite_nonnegative, check_threshold
+from .timing import hamming_ball, nominal_interval, window_row
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
@@ -38,6 +38,10 @@ BODY_BITS = 232
 #: 3 ms with numpy loaded, some 40 fd trials of 70 us, so 256 trials keep it
 #: to about 15% of a worker's time.
 MIN_TRIALS_PER_WORKER = 256
+
+#: Fewest bytes a generated trace row or a false-detection interferer holds
+#: while it is built; 150-220 and 110-150 bytes were measured.
+ITEM_BYTES = 100
 
 T = TypeVar("T")
 
@@ -92,13 +96,31 @@ class SimConfig:
             return float(self.epsilon)
         import numpy as np
 
-        return -np.expm1(BODY_BITS * np.log1p(-self.epsilon))
+        return float(-np.expm1(BODY_BITS * np.log1p(-self.epsilon)))
 
 
 def _trial_rng(seed: int, index: int) -> np.random.Generator:
     import numpy as np
 
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+
+
+def _refuse_beyond_memory(n: int, per_meter: float, what: str) -> None:
+    """Raise ``ValueError`` if ``n * per_meter`` items of ``ITEM_BYTES`` exceed physical memory."""
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or not these names
+        return
+    if per_meter and n > memory / ITEM_BYTES / per_meter:  # exact for an int n of any size
+        raise ValueError(f"{what}: about {per_meter:.3g} per meter for n = {n} meters would "
+                         f"not fit in the {memory / 2**30:.3g} GiB of physical memory")
+
+
+def check_trace_fits(cfg: SimConfig) -> None:
+    """Refuse a trace of ``n * (1 + horizon / t)`` meters and scheduled packets, erased
+    or not, that would not fit in physical memory as rows."""
+    _refuse_beyond_memory(cfg.n, 1 + cfg.horizon / cfg.params.t,
+                          f"trace rows over horizon = {cfg.horizon:g} s")
 
 
 def _map_trials(trial: Callable[[SimConfig, int], T], cfg: SimConfig) -> List[T]:
@@ -173,26 +195,16 @@ def _flip_mask(rng: np.random.Generator, epsilon: float, L: int) -> int:
 # trace generation and replay
 
 
-def transmission_times(acc0: int, start: float, horizon: float, params: ProtocolParams):
-    """Yield (time, acc) of scheduled transmissions up to ``horizon``.
-
-    Follows the interval law exactly: each interval is the mean interval
-    plus the jitter offset selected by the current ACC.
-    """
-    time, acc = start, check_acc(acc0, params.L)
-    while time <= horizon:
-        yield time, acc
-        time += params.intervals[acc]
-        acc = (acc + 1) % params.L
-
-
 def generate_trace(cfg: SimConfig, rng: Optional[np.random.Generator] = None) -> List[PacketArrival]:
     """Synthesize a ground-truth trace of ``cfg.n`` meters.
 
-    Meters start with independent uniform ACCs and phases; per packet an
+    Meters start with independent uniform ACCs and phases and follow the
+    interval law exactly: the packet after one carrying ACC ``x`` is sent
+    ``params.intervals[x]`` later with ACC ``(x + 1) % L``.  Per packet an
     erasure drops it entirely, otherwise the observed ACC gets independent
     bit flips and the CRC flag reflects ACC damage or a body error.
     """
+    check_trace_fits(cfg)
     if rng is None:
         rng = _trial_rng(cfg.rng_seed, 0)
     params = cfg.params
@@ -200,25 +212,20 @@ def generate_trace(cfg: SimConfig, rng: Optional[np.random.Generator] = None) ->
     arrivals: List[PacketArrival] = []
     for m in range(cfg.n):
         meter = f"m{m:03d}"
-        acc0 = int(rng.integers(params.L))
-        phase = float(rng.uniform(0.0, params.t))
-        for scheduled, acc in transmission_times(acc0, phase, cfg.horizon, params):
-            if cfg.p > 0 and rng.random() < cfg.p:
-                continue  # erased
-            time = scheduled
-            if cfg.emission_jitter > 0:
-                time += float(rng.uniform(-cfg.emission_jitter, cfg.emission_jitter))
-            mask = _flip_mask(rng, cfg.epsilon, params.L)
-            body_error = body_p > 0 and rng.random() < body_p
-            arrivals.append(
-                PacketArrival(
-                    time=time,
-                    acc=acc ^ mask,
-                    erroneous=mask != 0 or body_error,
-                    meter_id=meter,
-                    true_acc=acc,
-                )
-            )
+        acc = int(rng.integers(params.L))
+        scheduled = float(rng.uniform(0.0, params.t))
+        while scheduled <= cfg.horizon:
+            if cfg.p == 0 or rng.random() >= cfg.p:  # else erased
+                time = scheduled
+                if cfg.emission_jitter > 0:
+                    time += float(rng.uniform(-cfg.emission_jitter, cfg.emission_jitter))
+                mask = _flip_mask(rng, cfg.epsilon, params.L)
+                body_error = body_p > 0 and rng.random() < body_p
+                arrivals.append(PacketArrival(time=time, acc=acc ^ mask,
+                                              erroneous=mask != 0 or body_error,
+                                              meter_id=meter, true_acc=acc))
+            scheduled += params.intervals[acc]
+            acc = (acc + 1) % params.L
     arrivals.sort(key=lambda a: (a.time, a.meter_id))
     return arrivals
 
@@ -310,8 +317,13 @@ def simulate_false_detection(cfg: SimConfig) -> Tuple[float, float]:
     Base ACCs are swept uniformly over the full range so the estimate is
     the mean over ACC values, matching how the analytic curves are
     reported.  The trials run on every CPU in the affinity mask; the
-    result is the same for any CPU count.
+    result is the same for any CPU count.  A run whose step-1 windows expect
+    more interferers than physical memory holds is refused before any trial.
     """
+    params = cfg.params
+    tau = max(w[2] for w in window_row(params, 1))
+    _refuse_beyond_memory(cfg.n, len(hamming_ball(cfg.M, params.L)) * tau / params.t,
+                          "interferers in a trial's step-1 windows")
     rate = sum(_map_trials(_fd_trial, cfg)) / cfg.trials
     return rate, math.sqrt(rate * (1.0 - rate) / cfg.trials)
 
@@ -336,8 +348,10 @@ def simulate_memory(cfg: SimConfig) -> Tuple[float, float]:
     cost, so a run of fewer than ``2 * MIN_TRIALS_PER_WORKER`` trials, as
     memory runs usually are, stays serial; a longer one runs on every CPU
     in the affinity mask.  The trials are summarised in index order, so the
-    result is the same for any CPU count.
+    result is the same for any CPU count.  A trace too large for physical
+    memory (``check_trace_fits``) is refused before any trial starts.
     """
+    check_trace_fits(cfg)
     import numpy as np
 
     per_trial = _map_trials(_memory_trial, cfg)

@@ -181,11 +181,6 @@ def lead_time(x: int, j: int, params: ProtocolParams) -> float:
     return _window(x, j, params)[1]
 
 
-def slot_width(x: int, j: int, params: ProtocolParams) -> float:
-    """Width of the reception slot for step ``j`` from base ACC ``x`` (tau)."""
-    return _window(x, j, params)[2]
-
-
 def slot_bounds(x: int, j: int, t_base: float, params: ProtocolParams) -> Tuple[float, float]:
     """Reception slot for the packet ``j`` steps after a base packet.
 

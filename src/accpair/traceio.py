@@ -8,10 +8,9 @@ Traces are UTF-8 CSV with LF line endings and a mandatory header::
 so microsecond rounding would corrupt boundary decisions) and must pass
 ``plain_number``, ``acc_hex`` is two hex digits, ``crc_ok`` is 0 or 1, and
 the ground-truth columns may be empty.  ``iter_trace`` checks each row
-as it yields it, so a reader holds one row at a time; ``read_trace`` lists
-them all.  Experiment configurations are JSON documents holding the
-SimConfig fields that trace generation reads, ``params`` and ``out``;
-any other key is rejected.
+as it yields it, so a reader holds one row at a time.  Experiment
+configurations are JSON documents holding the SimConfig fields that trace
+generation reads, ``params`` and ``out``; any other key is rejected.
 """
 
 from __future__ import annotations
@@ -20,9 +19,9 @@ import csv
 import json
 import math
 from dataclasses import fields as dataclass_fields
-from typing import IO, Iterable, Iterator, List
+from typing import IO, Iterable, Iterator
 
-from .simulate import SimConfig
+from .simulate import SimConfig, check_trace_fits
 from .slots import PacketArrival
 from .timing import ProtocolParams
 
@@ -41,23 +40,14 @@ class ConfigError(ValueError):
     """Invalid experiment configuration document."""
 
 
-def format_trace_row(pkt: PacketArrival) -> List[str]:
-    return [
-        f"{pkt.time:.9f}",
-        f"{pkt.acc:02x}",
-        "0" if pkt.erroneous else "1",
-        pkt.meter_id or "",
-        "" if pkt.true_acc is None else f"{pkt.true_acc:02x}",
-    ]
-
-
 def write_trace(out: IO[str], trace: Iterable[PacketArrival]) -> int:
     """Write trace rows; returns the number of rows written."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(TRACE_HEADER)
     count = 0
     for pkt in trace:
-        writer.writerow(format_trace_row(pkt))
+        writer.writerow([f"{pkt.time:.9f}", f"{pkt.acc:02x}", "0" if pkt.erroneous else "1",
+                         pkt.meter_id or "", "" if pkt.true_acc is None else f"{pkt.true_acc:02x}"])
         count += 1
     return count
 
@@ -125,11 +115,6 @@ def iter_trace(inp: IO[str]) -> Iterator[PacketArrival]:
         )
 
 
-def read_trace(inp: IO[str]) -> List[PacketArrival]:
-    """The whole of ``iter_trace(inp)`` as a list, or its first ``TraceFormatError``."""
-    return list(iter_trace(inp))
-
-
 _PARAM_KEYS = {f.name for f in dataclass_fields(ProtocolParams)}
 
 #: SimConfig fields that a trace-generation document may set.
@@ -141,7 +126,8 @@ def load_experiment_config(inp: IO[str]):
 
     Returns ``(config, out_path)`` where ``out_path`` is the optional
     "out" entry of the document, a string or None.  ``params.L`` may not
-    exceed 256, since a trace stores each ACC as one byte.
+    exceed 256, since a trace stores each ACC as one byte, and the trace
+    must pass ``check_trace_fits``.
     """
     try:
         doc = json.load(inp)
@@ -161,12 +147,13 @@ def load_experiment_config(inp: IO[str]):
     if bad:
         raise ConfigError(f"unknown params keys: {', '.join(bad)}")
 
-    L = params_doc.get("L")  # checked first: construction builds a table of L intervals
+    L = params_doc.get("L")  # ProtocolParams checks the rest of L: this is the trace's limit
     if isinstance(L, int) and not isinstance(L, bool) and L > 256:
         raise ConfigError(f"params.L {L} exceeds 256: a trace's acc_hex column holds one byte")
     try:
         params = ProtocolParams(**params_doc)
         cfg = SimConfig(params=params, **{k: doc[k] for k in _TRACE_KEYS if k in doc})
+        check_trace_fits(cfg)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
     out = doc.get("out")

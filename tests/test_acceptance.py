@@ -25,7 +25,6 @@ from accpair.timing import (
     lead_time,
     nominal_interval,
     slot_bounds,
-    slot_width,
 )
 
 PARAMS = ProtocolParams()
@@ -69,7 +68,7 @@ def test_criterion_2_timebin_oracle():
                 )
                 dur = (
                     lead_time(y, 1, PARAMS) if s == pi_y
-                    else slot_width((next(iter(members)) - 1) % 256, 1, PARAMS)
+                    else slot_bounds((next(iter(members)) - 1) % 256, 1, 0.0, PARAMS)[1]
                 )
                 sigma_oracle[d] = sigma_oracle.get(d, 0.0) + dur
             sig = sigma(y, m, PARAMS)
@@ -78,7 +77,7 @@ def test_criterion_2_timebin_oracle():
     # the two worked examples: sigma_1 sums six (0x40) or five (0x20) full
     # windows, 0x20's shared window of 0x61 and 0xA1 gives sigma_2, and the
     # own window counts nine values for its lead time theta_1
-    width = lambda *bases: sum(slot_width(c, 1, PARAMS) for c in bases)
+    width = lambda *bases: sum(slot_bounds(c, 1, 0.0, PARAMS)[1] for c in bases)
     fig_a = sigma(0x40, 1, PARAMS)
     ok &= set(fig_a) == {1, 9} and fig_a[9] == lead_time(0x40, 1, PARAMS)
     ok &= abs(fig_a[1] - width(0x60, 0x50, 0x48, 0x44, 0x42, 0x41)) < 1e-12

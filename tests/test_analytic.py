@@ -32,7 +32,6 @@ from accpair.timing import (
     lead_time,
     nominal_interval,
     slot_bounds,
-    slot_width,
 )
 
 PARAMS = ProtocolParams()
@@ -75,7 +74,7 @@ class TestQ0:
 
 def widths(*bases):
     """Summed step-1 window widths of the given base ACCs."""
-    return sum(slot_width(c, 1, PARAMS) for c in bases)
+    return sum(slot_bounds(c, 1, 0.0, PARAMS)[1] for c in bases)
 
 
 class TestBuildTimebins:
@@ -248,7 +247,7 @@ class TestBruteForceOracle:
                 if any(hamming(y, (xi - 1) % 256) + hamming(xi, u) <= m for xi in members)
             )
             duration = (lead_time(y, 1, PARAMS) if jitter == pi(y)
-                        else slot_width((next(iter(members)) - 1) % 256, 1, PARAMS))
+                        else slot_bounds((next(iter(members)) - 1) % 256, 1, 0.0, PARAMS)[1])
             oracle[would_pair] = oracle.get(would_pair, 0.0) + duration
         s = sigma(y, m, PARAMS)
         assert set(s) == set(oracle)

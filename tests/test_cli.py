@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import time
 import tracemalloc
 
 import pytest
@@ -277,6 +279,26 @@ def test_replay_memory_does_not_grow_with_the_trace(tmp_path):
     replay_peak_bytes(tmp_path, 600.0)  # warm-up: imports and cached window rows
     short, long = replay_peak_bytes(tmp_path, 600.0), replay_peak_bytes(tmp_path, 2400.0)
     assert long <= 1.2 * short, (short, long)
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    # 10**15 meters put about 4e11 interferers in one step-1 window, beyond
+    # any machine's memory; 10**12 (about 4e8) is refused below about 40 GB
+    (["simulate", "--kind", "fd", "--n", "1000000000000000", "--trials", "1"], EXIT_USAGE,
+     "interferers in a trial's step-1 windows"),
+    (["simulate", "--kind", "memory", "--n", "5", "--trials", "2", "--horizon", "1e12"],
+     EXIT_USAGE, "trace rows over horizon = 1e\\+12 s"),
+    (["gentrace", "--config", "CONFIG"], EXIT_PARSE, "trace rows over horizon = 1e\\+12 s"),
+], ids=["fd", "memory", "gentrace"])
+def test_work_beyond_physical_memory_is_refused_at_once(tmp_path, capsys, argv, code, message):
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({"n": 5, "horizon": 1e12}))
+    start = time.perf_counter()
+    got, text = run(tmp_path, *[str(config) if a == "CONFIG" else a for a in argv])
+    assert time.perf_counter() - start < 1.0
+    assert (got, text) == (code, None)
+    assert re.search(f"{message}: .* would not fit in the .* GiB of physical memory",
+                     capsys.readouterr().err)
 
 
 BAD_INTEGERS = ["\u0663", "1_0", " 5"]

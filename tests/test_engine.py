@@ -4,17 +4,12 @@ import math
 
 import pytest
 
-from accpair.engine import ANALYSIS, DEPLOYMENT, PairingEngine, classify, pair_distance
+from accpair.engine import ANALYSIS, DEPLOYMENT, PAIR_CLASSES, PairingEngine, classify
 from accpair.simulate import SimConfig, generate_trace, replay, simulate_memory
-from accpair.slots import PacketArrival, TraceOrderError, VirtualSlot
+from accpair.slots import PacketArrival, TraceOrderError
 from accpair.timing import ProtocolParams, nominal_interval
 
 PARAMS = ProtocolParams()
-
-
-def slot(xi, b):
-    base = PacketArrival(time=0.0, acc=0x40, erroneous=True)
-    return VirtualSlot(start=0.0, width=1.0, base_ref=0, b=b, xi=xi, step=1, base=base)
 
 
 def pkt(time, acc, erroneous=False, meter=None, true_acc=None):
@@ -23,29 +18,18 @@ def pkt(time, acc, erroneous=False, meter=None, true_acc=None):
     )
 
 
-class TestPairDistance:
-    def test_exact_match(self):
-        assert pair_distance(slot(0x41, 0), 0x41) == 0
-
-    def test_arrival_error(self):
-        assert pair_distance(slot(0x41, 0), 0x43) == 1
-
-    def test_includes_stored_base_errors(self):
-        assert pair_distance(slot(0x42, 1), 0x42) == 1
-
-
 class TestClassify:
     def test_both_erroneous_same_meter(self):
-        cls, false = classify(pkt(0, 1, True, "m1"), pkt(1, 2, True, "m1"))
-        assert (cls, false) == ("EE", False)
+        k, false = classify(pkt(0, 1, True, "m1"), pkt(1, 2, True, "m1"))
+        assert (PAIR_CLASSES[k], false) == ("EE", False)
 
     def test_mixed_different_meters(self):
-        cls, false = classify(pkt(0, 1, False, "m1"), pkt(1, 2, True, "m2"))
-        assert (cls, false) == ("CE", True)
+        k, false = classify(pkt(0, 1, False, "m1"), pkt(1, 2, True, "m2"))
+        assert (PAIR_CLASSES[k], false) == ("CE", True)
 
     def test_no_ground_truth(self):
-        cls, false = classify(pkt(0, 1, False), pkt(1, 2, False))
-        assert (cls, false) == ("CC", None)
+        k, false = classify(pkt(0, 1, False), pkt(1, 2, False))
+        assert (PAIR_CLASSES[k], false) == ("CC", None)
 
 
 class TestOnArrival:

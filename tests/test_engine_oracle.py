@@ -11,7 +11,7 @@ its windows of steps before ``j``.
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from accpair.engine import ANALYSIS, DEPLOYMENT, PAIR_CLASSES, PairingEngine, classify
+from accpair.engine import ANALYSIS, DEPLOYMENT, PAIR_CLASSES, PairingEngine
 from accpair.simulate import SimConfig, generate_trace
 from accpair.slots import PacketArrival
 from accpair.timing import ProtocolParams, slot_bounds
@@ -24,7 +24,7 @@ def bits(x):
 
 
 def reference_pairing(trace, params, M, policy, timeout):
-    """Per-arrival ``(kind, base_ref, step, distance, live_slots)``."""
+    """Per-arrival ``(kind, base_ref, step, distance, pair_class, is_false, live_slots)``."""
     L = params.L
     windows = {}     # (k, c) -> [(start, end) of steps 1..timeout], unretired bases only
     first_seen = {}  # (k, c) -> lowest step whose window held an arrival
@@ -48,9 +48,14 @@ def reference_pairing(trace, params, M, policy, timeout):
             d, j, k, _ = best
             for key in [key for key in windows if key[0] == k]:
                 del windows[key]
-            decision = ("pair", k, j, d)
+            # C for a CRC-clean packet, E for an erroneous one, base first;
+            # false when both packets carry a meter id and the ids differ
+            base = trace[k]
+            pair_class = "CE"[base.erroneous] + "CE"[pkt.erroneous]
+            known = base.meter_id is not None and pkt.meter_id is not None
+            decision = ("pair", k, j, d, pair_class, base.meter_id != pkt.meter_id if known else None)
         else:
-            decision = ("no-pair", None, None, None)
+            decision = ("no-pair", None, None, None, None, None)
         if policy == DEPLOYMENT or pkt.erroneous:
             for c in range(L):
                 if bits(y ^ c) <= M:
@@ -118,13 +123,12 @@ def test_engine_matches_reference_on_crowded_windows(L, M, policy, timeout, rows
     check_against_reference(trace, params, M, policy, timeout)
 
 
-def reference_tally(trace, decisions, timeout):
+def reference_tally(decisions, timeout):
     """``(pairs, unverified)`` as the engine keeps them, from the reference's pairings."""
     pairs, unverified = [0] * (8 * timeout), 0
-    for i, (kind, base_ref, step, _, _) in enumerate(decisions):
+    for kind, _, step, _, pair_class, is_false, _ in decisions:
         if kind == "pair":
-            cls, is_false = classify(trace[base_ref], trace[i])
-            slot = 8 * (step - 1) + PAIR_CLASSES.index(cls)
+            slot = 8 * (step - 1) + PAIR_CLASSES.index(pair_class)
             pairs[slot] += 1
             unverified += is_false is None
             pairs[slot + 4] += is_false is True
@@ -136,7 +140,8 @@ def check_against_reference(trace, params, M, policy, timeout):
     got = []
     for pkt in trace:
         out = engine.on_arrival(pkt)
-        got.append((out.kind, out.base_ref, out.step, out.distance, engine.live_slots))
+        got.append((out.kind, out.base_ref, out.step, out.distance, out.pair_class, out.is_false,
+                    engine.live_slots))
     expected = reference_pairing(trace, params, M, policy, timeout)
     assert got == expected
-    assert (engine.pairs, engine.unverified) == reference_tally(trace, expected, timeout)
+    assert (engine.pairs, engine.unverified) == reference_tally(expected, timeout)

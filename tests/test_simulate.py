@@ -22,7 +22,6 @@ from accpair.simulate import (
     replay,
     simulate_false_detection,
     simulate_memory,
-    transmission_times,
 )
 from accpair.slots import PacketArrival
 from accpair.timing import ProtocolParams, jitter_index, nominal_interval
@@ -83,14 +82,30 @@ class TestSimConfig:
             SimConfig(**bad)
 
 
+@pytest.mark.parametrize("run, cfg, message", [
+    (simulate_false_detection, SimConfig(n=10**15, trials=1000), "interferers in a trial's"),
+    (simulate_memory, SimConfig(n=5, trials=1000, horizon=1e12), "trace rows over horizon"),
+    (generate_trace, SimConfig(n=10**15, horizon=0.0), "for n = 1000000000000000 meters"),
+    (generate_trace, SimConfig(n=10**400), "for n = 1" + "0" * 400 + " meters"),
+], ids=["fd", "memory", "trace", "trace-of-1e400-meters"])
+def test_work_beyond_physical_memory_is_refused_before_any_fork(monkeypatch, run, cfg, message):
+    def refuse(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(simulate, "_map_trials", refuse)
+    with pytest.raises(ValueError, match=message):
+        run(cfg)
+
+
 class TestTransmissionTimes:
     def test_interval_law(self):
-        sched = list(transmission_times(0x40, 0.0, 40.0, PARAMS))
-        assert [(t, a) for t, a in sched] == [
-            (0.0, 0x40),
-            (16.0, 0x41),
-            (31.9921875, 0x42),
-        ]
+        # without erasures, bit errors or jitter each row is the one before
+        # it plus that row's interval, as the float sum the schedule makes
+        trace = generate_trace(SimConfig(n=1, epsilon=0.0, p=0.0, horizon=300.0, rng_seed=3))
+        assert len(trace) >= 18
+        for a, b in zip(trace, trace[1:]):
+            assert b.time == a.time + PARAMS.intervals[a.true_acc]
+            assert b.true_acc == (a.true_acc + 1) % PARAMS.L
 
 
 class TestGenerateTrace:

@@ -27,7 +27,7 @@ class TestPacketArrival:
     def test_true_acc_needs_meter_id(self):
         with pytest.raises(ValueError, match="a true_acc needs a meter_id"):
             PacketArrival(time=0.0, acc=0x40, erroneous=False, true_acc=0x40)
-        # read_trace and the fd simulator build packets with only a meter id
+        # iter_trace and the fd simulator build packets with only a meter id
         assert PacketArrival(time=0.0, acc=0x40, erroneous=False, meter_id="m").true_acc is None
 
 
