@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple, TypeVar
 
 from .engine import ANALYSIS, DEPLOYMENT, PairingEngine
@@ -34,14 +35,19 @@ if TYPE_CHECKING:
 #: caused by any of these bits even when the ACC itself survives.
 BODY_BITS = 232
 
-#: Fewest trials worth a forked worker.  Starting and joining one costs about
-#: 3 ms with numpy loaded, some 40 fd trials of 70 us, so 256 trials keep it
-#: to about 15% of a worker's time.
+#: Fewest fd trials worth a forked worker.  Starting and joining one costs
+#: about 3 ms with numpy loaded, some 40 fd trials of 70 us, so 256 trials keep
+#: it to about 15% of a worker's time.  A memory trial replays a whole trace,
+#: some 13 ms at n = 20, so one of them is worth a worker.
 MIN_TRIALS_PER_WORKER = 256
 
 #: Fewest bytes a generated trace row or a false-detection interferer holds
 #: while it is built; 150-220 and 110-150 bytes were measured.
 ITEM_BYTES = 100
+
+#: Most doubles ``generate_trace`` takes from the generator at once, so that
+#: one long-lived meter never holds many times its own rows in buffered floats.
+DRAW_BLOCK = 4096
 
 T = TypeVar("T")
 
@@ -123,23 +129,24 @@ def check_trace_fits(cfg: SimConfig) -> None:
                           f"trace rows over horizon = {cfg.horizon:g} s")
 
 
-def _map_trials(trial: Callable[[SimConfig, int], T], cfg: SimConfig) -> List[T]:
+def _map_trials(trial: Callable[[SimConfig, int], T], cfg: SimConfig,
+                min_per_worker: int) -> List[T]:
     """``trial(cfg, i)`` for every ``i`` in ``range(cfg.trials)``, in index order.
 
     Contiguous index ranges go to one process per CPU in the affinity mask, at
-    most one per ``MIN_TRIALS_PER_WORKER`` trials.  This process runs the first
+    most one per ``min_per_worker`` trials.  This process runs the first
     range, and its first trial before any fork, so the workers inherit what it
     loads (numpy, the window rows).  Each other range runs in a fork ``Process``
     that sends its results, or its exception, through a one-way ``Pipe``; the
     exception is re-raised here, and a worker that sends nothing is named by its
-    exit status.  With one worker (one CPU, fewer than ``2 * MIN_TRIALS_PER_WORKER``
+    exit status.  With one worker (one CPU, fewer than ``2 * min_per_worker``
     trials, or no ``os.fork``) the loop is serial and imports no ``multiprocessing``.
     A fork ``Pool`` would wait forever for a worker that dies, and a
     ``ProcessPoolExecutor`` loses its exit status and was slower to start.
     """
     workers = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        workers = max(1, min(len(os.sched_getaffinity(0)), cfg.trials // MIN_TRIALS_PER_WORKER))
+        workers = max(1, min(len(os.sched_getaffinity(0)), cfg.trials // min_per_worker))
     if workers == 1:
         return [trial(cfg, i) for i in range(cfg.trials)]
     import multiprocessing
@@ -195,6 +202,21 @@ def _flip_mask(rng: np.random.Generator, epsilon: float, L: int) -> int:
 # trace generation and replay
 
 
+def _draw_block(rng: np.random.Generator, carry: np.ndarray, need: int, owed: int,
+                epsilon: float) -> Tuple[np.ndarray, List[float], List[int], int]:
+    """``carry`` then new doubles from ``rng``, at least ``need`` in all, and as
+    many of the ``owed`` sure draws as ``DRAW_BLOCK`` allows.  Returns them as an
+    array and as floats, the indices of those below ``epsilon`` followed by the
+    count, and the draws still owed."""
+    import numpy as np
+
+    fetch = max(need - len(carry), min(DRAW_BLOCK, owed))
+    block = np.concatenate((carry, rng.random(fetch))) if len(carry) else rng.random(fetch)
+    below = np.flatnonzero(block < epsilon).tolist()
+    below.append(len(block))
+    return block, block.tolist(), below, owed - fetch
+
+
 def generate_trace(cfg: SimConfig, rng: Optional[np.random.Generator] = None) -> List[PacketArrival]:
     """Synthesize a ground-truth trace of ``cfg.n`` meters.
 
@@ -203,30 +225,67 @@ def generate_trace(cfg: SimConfig, rng: Optional[np.random.Generator] = None) ->
     ``params.intervals[x]`` later with ACC ``(x + 1) % L``.  Per packet an
     erasure drops it entirely, otherwise the observed ACC gets independent
     bit flips and the CRC flag reflects ACC damage or a body error.
+
+    Each meter draws, in order: its first ACC (``rng.integers(L)``), its
+    phase (``rng.uniform(0, t)``), then per scheduled packet an erasure
+    double when ``p > 0`` and, unless it is erased, a jitter double when
+    ``emission_jitter > 0``, one double per ACC bit when ``epsilon > 0`` and
+    a body-error double when its probability is positive.  The per-packet
+    doubles come from ``rng.random`` blocks of at most ``DRAW_BLOCK``, and a
+    block takes exactly the draws the meter is sure to make from there, so
+    the generator yields and ends in the same state as one scalar call per
+    double would leave it.
     """
     check_trace_fits(cfg)
+    import numpy as np
+
     if rng is None:
         rng = _trial_rng(cfg.rng_seed, 0)
     params = cfg.params
+    p, eps = cfg.p, cfg.epsilon
+    jit_lo, jit_range = -cfg.emission_jitter, 2 * cfg.emission_jitter  # as rng.uniform has them
     body_p = cfg.effective_body_error_prob
+    bits = params.L.bit_length() - 1 if eps > 0 else 0
+    has_jit, has_body = jit_range > 0, body_p > 0
+    rest = has_jit + bits + has_body  # doubles of a packet after its erasure double
     arrivals: List[PacketArrival] = []
     for m in range(cfg.n):
         meter = f"m{m:03d}"
         acc = int(rng.integers(params.L))
         scheduled = float(rng.uniform(0.0, params.t))
+        schedule = []
         while scheduled <= cfg.horizon:
-            if cfg.p == 0 or rng.random() >= cfg.p:  # else erased
-                time = scheduled
-                if cfg.emission_jitter > 0:
-                    time += float(rng.uniform(-cfg.emission_jitter, cfg.emission_jitter))
-                mask = _flip_mask(rng, cfg.epsilon, params.L)
-                body_error = body_p > 0 and rng.random() < body_p
-                arrivals.append(PacketArrival(time=time, acc=acc ^ mask,
-                                              erroneous=mask != 0 or body_error,
-                                              meter_id=meter, true_acc=acc))
+            schedule.append((scheduled, acc))
             scheduled += params.intervals[acc]
             acc = (acc + 1) % params.L
-    arrivals.sort(key=lambda a: (a.time, a.meter_id))
+        owed = len(schedule) * (1 if p > 0 else rest)  # sure draws not yet fetched
+        block, u, below, i, h = np.empty(0), [], [0], 0, 0
+        for time, acc in schedule:
+            if p > 0:
+                if i == len(u):
+                    block, u, below, owed = _draw_block(rng, block[i:], 1, owed, eps)
+                    i = h = 0
+                i += 1
+                if u[i - 1] < p:  # erased
+                    continue
+                owed += rest
+            if i + rest > len(u):
+                block, u, below, owed = _draw_block(rng, block[i:], rest, owed, eps)
+                i = h = 0
+            if has_jit:
+                time += jit_lo + jit_range * u[i]
+                i += 1
+            mask = 0  # a bit flips where its double is below eps
+            while below[h] < i:
+                h += 1
+            while below[h] < i + bits:
+                mask |= 1 << (below[h] - i)
+                h += 1
+            i += bits
+            body_error = has_body and u[i] < body_p
+            i += has_body
+            arrivals.append(PacketArrival(time, acc ^ mask, mask != 0 or body_error, meter, acc))
+    arrivals.sort(key=attrgetter("time", "meter_id"))
     return arrivals
 
 
@@ -324,7 +383,7 @@ def simulate_false_detection(cfg: SimConfig) -> Tuple[float, float]:
     tau = max(w[2] for w in window_row(params, 1))
     _refuse_beyond_memory(cfg.n, len(hamming_ball(cfg.M, params.L)) * tau / params.t,
                           "interferers in a trial's step-1 windows")
-    rate = sum(_map_trials(_fd_trial, cfg)) / cfg.trials
+    rate = sum(_map_trials(_fd_trial, cfg, MIN_TRIALS_PER_WORKER)) / cfg.trials
     return rate, math.sqrt(rate * (1.0 - rate) / cfg.trials)
 
 
@@ -344,17 +403,16 @@ def simulate_memory(cfg: SimConfig) -> Tuple[float, float]:
     Full transmission schedules of all meters are replayed through a
     ``DEPLOYMENT`` engine, so every arrival creates slots, mirroring how
     receiver memory is provisioned in the field; a trial's maximum is the
-    store's ``peak``.  ``MIN_TRIALS_PER_WORKER`` was set by the fd trial's
-    cost, so a run of fewer than ``2 * MIN_TRIALS_PER_WORKER`` trials, as
-    memory runs usually are, stays serial; a longer one runs on every CPU
-    in the affinity mask.  The trials are summarised in index order, so the
-    result is the same for any CPU count.  A trace too large for physical
+    store's ``peak``.  A trial costs milliseconds, more than a fork, so the
+    trials run on every CPU in the affinity mask, up to one process per
+    trial.  They are summarised in index order, so the result is the same
+    for any CPU count.  A trace too large for physical
     memory (``check_trace_fits``) is refused before any trial starts.
     """
     check_trace_fits(cfg)
     import numpy as np
 
-    per_trial = _map_trials(_memory_trial, cfg)
+    per_trial = _map_trials(_memory_trial, cfg, 1)
     mean = float(np.mean(per_trial))
     se = float(np.std(per_trial, ddof=1) / np.sqrt(len(per_trial))) if len(per_trial) > 1 else 0.0
     return mean, se

@@ -40,15 +40,35 @@ class ConfigError(ValueError):
     """Invalid experiment configuration document."""
 
 
+#: each ACC a trace can hold to its ``acc_hex``; a dict, so -1 is not found
+_BYTE_HEX = {value: f"{value:02x}" for value in range(256)}
+
+
 def write_trace(out: IO[str], trace: Iterable[PacketArrival]) -> int:
-    """Write trace rows; returns the number of rows written."""
+    """Write trace rows; returns the number of rows written.
+
+    A row ``iter_trace`` would reject, with an ACC or true ACC outside
+    0..255 or a time that is not finite, raises ``ValueError``; the rows
+    before it may already be written.
+    """
+    count = 0
+
+    def rows():
+        nonlocal count
+        for count, pkt in enumerate(trace, start=1):
+            if not math.isfinite(pkt.time):
+                raise ValueError(f"row {count}: time {pkt.time!r} is not finite")
+            try:
+                acc = _BYTE_HEX[pkt.acc]
+                true_acc = "" if pkt.true_acc is None else _BYTE_HEX[pkt.true_acc]
+            except KeyError as exc:
+                raise ValueError(f"row {count}: ACC {exc.args[0]!r} is outside 0..255") from None
+            yield (f"{pkt.time:.9f}", acc, "0" if pkt.erroneous else "1", pkt.meter_id or "",
+                   true_acc)
+
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(TRACE_HEADER)
-    count = 0
-    for pkt in trace:
-        writer.writerow([f"{pkt.time:.9f}", f"{pkt.acc:02x}", "0" if pkt.erroneous else "1",
-                         pkt.meter_id or "", "" if pkt.true_acc is None else f"{pkt.true_acc:02x}"])
-        count += 1
+    writer.writerows(rows())
     return count
 
 

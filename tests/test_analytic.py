@@ -18,6 +18,7 @@ from accpair.analytic import (
 )
 from accpair.engine import ANALYSIS, PairingEngine
 from accpair.simulate import (
+    MIN_TRIALS_PER_WORKER,
     SimConfig,
     _false_detection_trial,
     _map_trials,
@@ -318,7 +319,8 @@ class TestReversedDeltaMap:
         cfg = SimConfig(params=params, n=n, M=1, trials=trials)
         # trial i draws from the same per-index generator on whichever CPU runs it
         hits = sum(_map_trials(
-            lambda cfg, i: _false_detection_trial(cfg, y, _trial_rng(7000 + y, i)), cfg
+            lambda cfg, i: _false_detection_trial(cfg, y, _trial_rng(7000 + y, i)), cfg,
+            MIN_TRIALS_PER_WORKER,
         ))
         expected = qM(y, 1, n, params)
         se = math.sqrt(expected * (1 - expected) / trials)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import os
 import signal
 import subprocess
@@ -16,6 +17,7 @@ from accpair.simulate import (
     SimConfig,
     _false_detection_trial,
     _fd_trial,
+    _flip_mask,
     _map_trials,
     _trial_rng,
     generate_trace,
@@ -262,6 +264,72 @@ def test_false_detection_draws_match_recorded_digest():
     assert digest.hexdigest() == "42a4bde957d1e23571543da02bcc8d092536a9e502ef7ef31f7cc13c5e691d49"
 
 
+#: trace settings whose rows the recorded digest pins: erasures, jitter, a
+#: fixed body-error probability, every ACC bit flipped, a 16-value counter,
+#: and single meters whose draws span several of generate_trace's blocks
+GEN_DIGEST_SETTINGS = (
+    SimConfig(n=7, epsilon=1 / 32, p=0.1, emission_jitter=0.01, horizon=300.0, rng_seed=1),
+    SimConfig(n=7, epsilon=1 / 32, p=0.7, body_error_prob=0.3, horizon=300.0, rng_seed=2),
+    SimConfig(n=7, epsilon=1 / 32, p=1.0, emission_jitter=0.01, horizon=300.0, rng_seed=3),
+    SimConfig(n=7, p=0.1, emission_jitter=0.01, horizon=300.0, rng_seed=4),
+    SimConfig(n=7, epsilon=1.0, body_error_prob=0.0, emission_jitter=0.01, horizon=300.0,
+              rng_seed=5),
+    SimConfig(params=ProtocolParams(L=16), n=7, epsilon=0.25, p=0.1, body_error_prob=0.3,
+              horizon=300.0, rng_seed=6),
+    SimConfig(n=1, epsilon=1 / 32, emission_jitter=0.01, horizon=20000.0, rng_seed=7),
+    SimConfig(n=1, epsilon=1 / 32, p=0.1, horizon=70000.0, rng_seed=8),
+)
+
+
+def test_generated_rows_match_recorded_digest():
+    # every row, and the generator state after the trace, so a change in
+    # what generate_trace draws or in which order shows here
+    digest = hashlib.sha256()
+    for cfg in GEN_DIGEST_SETTINGS:
+        rng = _trial_rng(cfg.rng_seed, 0)
+        trace = generate_trace(cfg, rng)
+        for a in trace:
+            digest.update(repr((a.time, a.acc, a.erroneous, a.meter_id, a.true_acc)).encode())
+        digest.update(repr(rng.bit_generator.state).encode())
+    assert digest.hexdigest() == "2ba0a7e4e511e4ad450d0ecd4123a71e114301f7a1f95ce92e35972c57a875f9"
+
+
+
+def scalar_trace(cfg, rng):
+    """generate_trace with one scalar call per draw: the reference for its blocks."""
+    params, body_p = cfg.params, cfg.effective_body_error_prob
+    arrivals = []
+    for m in range(cfg.n):
+        acc = int(rng.integers(params.L))
+        scheduled = float(rng.uniform(0.0, params.t))
+        while scheduled <= cfg.horizon:
+            if cfg.p == 0 or rng.random() >= cfg.p:
+                time = scheduled
+                if cfg.emission_jitter > 0:
+                    time += float(rng.uniform(-cfg.emission_jitter, cfg.emission_jitter))
+                mask = _flip_mask(rng, cfg.epsilon, params.L)
+                body_error = body_p > 0 and rng.random() < body_p
+                arrivals.append(PacketArrival(time, acc ^ mask, mask != 0 or body_error,
+                                              f"m{m:03d}", acc))
+            scheduled += params.intervals[acc]
+            acc = (acc + 1) % params.L
+    arrivals.sort(key=lambda a: (a.time, a.meter_id))
+    return arrivals
+
+
+def test_blocks_draw_what_scalar_calls_draw():
+    grid = itertools.product((16, 256), (0.0, 1 / 32, 1.0), (0.0, 0.3, 1.0), (0.0, 0.01),
+                             (None, 0.0, 0.3))
+    configs = [SimConfig(params=ProtocolParams(L=L), n=5, epsilon=eps, p=p, emission_jitter=jit,
+                         body_error_prob=body, horizon=200.0, rng_seed=11)
+               for L, eps, p, jit, body in grid]
+    configs += [SimConfig(n=1, epsilon=1 / 32, p=p, horizon=70000.0, rng_seed=12) for p in (0, 0.1)]
+    for cfg in configs:
+        blocks, scalar = _trial_rng(cfg.rng_seed, 0), _trial_rng(cfg.rng_seed, 0)
+        assert generate_trace(cfg, blocks) == scalar_trace(cfg, scalar), cfg
+        assert blocks.bit_generator.state == scalar.bit_generator.state, cfg
+
+
 class TestSimulateMemory:
     def test_exact_slot_counts_without_noise(self):
         for m, expected in ((0, 1.0), (1, 9.0)):
@@ -290,7 +358,7 @@ class TestParallelTrials:
     def test_ranges_run_in_workers_and_come_back_in_index_order(self, monkeypatch, cpus):
         use_cpus(monkeypatch, cpus)
         cfg = SimConfig(trials=1001)
-        results = _map_trials(lambda cfg, i: (i, os.getpid()), cfg)
+        results = _map_trials(lambda cfg, i: (i, os.getpid()), cfg, 1)
         assert [i for i, _ in results] == list(range(1001))
         pids = list(dict.fromkeys(pid for _, pid in results))
         assert len(pids) == cpus
@@ -305,7 +373,7 @@ class TestParallelTrials:
             reports.append(simulate_false_detection(cfg))
         assert reports[0][0] > 0
         assert reports[1] == reports[0] and reports[2] == reports[0]
-        assert _map_trials(_fd_trial, cfg) == [_fd_trial(cfg, i) for i in range(cfg.trials)]
+        assert _map_trials(_fd_trial, cfg, 1) == [_fd_trial(cfg, i) for i in range(cfg.trials)]
 
     def test_memory_matches_recorded_value_on_three_workers(self, monkeypatch):
         use_cpus(monkeypatch, 3)
@@ -375,7 +443,7 @@ class TestParallelTrials:
 
     def test_worker_results_larger_than_a_pipe_buffer(self, monkeypatch):
         use_cpus(monkeypatch, 2)
-        results = _map_trials(lambda cfg, i: bytes(1000), SimConfig(trials=300))
+        results = _map_trials(lambda cfg, i: bytes(1000), SimConfig(trials=300), 1)
         assert results == [bytes(1000)] * 300
         assert_no_child_left()
 

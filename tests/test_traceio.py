@@ -1,10 +1,12 @@
 import io
 import json
+import math
 
 import pytest
 
 from accpair.simulate import SimConfig, generate_trace
 from accpair.slots import PacketArrival
+from accpair.timing import ProtocolParams
 from accpair.traceio import (
     ConfigError,
     TraceFormatError,
@@ -38,6 +40,36 @@ class TestTraceRoundTrip:
         buf = io.StringIO()
         write_trace(buf, generate_trace(SimConfig(n=1, horizon=40.0, rng_seed=1)))
         assert "\r" not in buf.getvalue()
+
+
+class TestWriteRefusesUnreadableRows:
+    def test_edge_values_round_trip(self):
+        trace = [PacketArrival(-1.5, 0x00, True),
+                 PacketArrival(0.0, 0xff, False, meter_id="m", true_acc=0xff)]
+        buf = io.StringIO()
+        assert write_trace(buf, trace) == 2
+        assert parse(buf.getvalue()) == trace
+
+    @pytest.mark.parametrize("bad, message", [
+        (PacketArrival(1.0, 0x19a, True, meter_id="m", true_acc=0x19a), "ACC 410 "),
+        (PacketArrival(1.0, -1, True), "ACC -1 "),
+        (PacketArrival(1.0, 0x40, False, meter_id="m", true_acc=256), "ACC 256 "),
+        (PacketArrival(math.nan, 0x40, True), "time nan "),
+        (PacketArrival(math.inf, 0x40, True), "time inf "),
+    ], ids=["L512-acc", "negative-acc", "true-acc", "nan-time", "inf-time"])
+    def test_row_iter_trace_would_reject_raises(self, bad, message):
+        good = PacketArrival(0.5, 0x41, False, meter_id="m", true_acc=0x41)
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=f"row 2: {message}"):
+            write_trace(buf, [good, bad])
+        # the rows before the bad one may be written, and they read back
+        assert parse(buf.getvalue()) in ([], [good])
+
+    def test_trace_of_a_wider_counter_raises(self):
+        trace = generate_trace(SimConfig(params=ProtocolParams(L=512), n=20, horizon=100.0))
+        assert max(a.acc for a in trace) > 0xff
+        with pytest.raises(ValueError, match="outside 0..255"):
+            write_trace(io.StringIO(), trace)
 
 
 class TestTraceStreaming:
