@@ -1,8 +1,8 @@
 """Command-line front end: analytic sweeps, simulations, trace replay and
 trace generation, all emitting deterministic CSV.
 
-Exit codes: 0 success, 2 usage error, 3 input parse error, 4 internal
-error (any other exception, reported without a traceback).
+Exit codes: 0 success, 2 usage error, 3 unreadable trace or config or
+unwritable --out path, 4 internal error (any other exception, no traceback).
 """
 
 from __future__ import annotations

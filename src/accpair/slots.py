@@ -52,14 +52,19 @@ class TraceOrderError(ValueError):
     """Raised when arrivals are fed out of time order."""
 
 
+#: the least finite float: ``prev <= time < math.inf`` from it refuses -inf too
+_EARLIEST = math.nextafter(-math.inf, 0.0)
+
+
 @dataclass
 class PacketArrival:
     """One reception event.
 
     ``meter_id``/``true_acc`` are ground truth carried only for post-hoc
     validation; they never influence pairing decisions.  A ``true_acc``
-    needs a ``meter_id``; a ``meter_id`` alone is allowed.  The ACC range
-    depends on the protocol's ``L``, so the engine checks it on arrival.
+    needs a ``meter_id``, and a ``meter_id`` may come alone but not as ``""``,
+    which a trace reads back as None; ``iter_trace`` relies on this check.
+    The ACC range depends on the protocol's ``L``, so the engine checks it.
     """
 
     time: float
@@ -69,8 +74,10 @@ class PacketArrival:
     true_acc: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.true_acc is not None and self.meter_id is None:
+        if self.meter_id is None and self.true_acc is not None:
             raise ValueError("a true_acc needs a meter_id")
+        if self.meter_id == "":
+            raise ValueError("a meter_id may not be empty; None means no ground truth")
 
 
 @dataclass(slots=True)
@@ -137,15 +144,10 @@ class SlotStore:
         self._live = 0
         self.peak = 0
         self._next_seq = 0
-        self._now = -math.inf  # time of the last query
+        self._now = _EARLIEST  # time of the last query
 
     def __len__(self) -> int:
         return self._live
-
-    def iter_slots(self) -> List[VirtualSlot]:
-        """Snapshot of live slots in creation order."""
-        return sorted((slot for rec in self._by_base.values() for slot in rec.slots),
-                      key=lambda s: s.seq)
 
     # -- mutation ---------------------------------------------------------
 
@@ -205,10 +207,9 @@ class SlotStore:
         ``TraceOrderError``, before any change, if ``time`` is not finite or
         precedes the previous query's.
         """
-        if not math.isfinite(time):
-            raise TraceOrderError(f"time {time} is not finite")
-        if time < self._now:
-            raise TraceOrderError(f"time {time} precedes the previous query at {self._now}")
+        if not self._now <= time < math.inf:
+            raise TraceOrderError(f"time {time} precedes the previous query at {self._now}"
+                                  if math.isfinite(time) else f"time {time} is not finite")
         self._now = time
         hits: List[VirtualSlot] = []
         expired = 0

@@ -22,7 +22,7 @@ from dataclasses import fields as dataclass_fields
 from typing import IO, Iterable, Iterator
 
 from .simulate import SimConfig, check_trace_fits
-from .slots import PacketArrival
+from .slots import _EARLIEST, PacketArrival
 from .timing import ProtocolParams
 
 TRACE_HEADER = ["time_s", "acc_hex", "crc_ok", "meter_id", "true_acc_hex"]
@@ -47,28 +47,31 @@ _BYTE_HEX = {value: f"{value:02x}" for value in range(256)}
 def write_trace(out: IO[str], trace: Iterable[PacketArrival]) -> int:
     """Write trace rows; returns the number of rows written.
 
-    A row ``iter_trace`` would reject, with an ACC or true ACC outside
-    0..255 or a time that is not finite, raises ``ValueError``; the rows
-    before it may already be written.
+    A row ``iter_trace`` would reject raises ``ValueError``: an ACC outside
+    0..255, a time not finite or before the previous row's, or a ``meter_id``
+    over ``csv.field_size_limit()`` long or holding a carriage return, which
+    ends an unquoted record, or NUL, which Python 3.10's reader refuses.  The
+    rows before it may already be written.
     """
-    count = 0
-
-    def rows():
-        nonlocal count
-        for count, pkt in enumerate(trace, start=1):
-            if not math.isfinite(pkt.time):
-                raise ValueError(f"row {count}: time {pkt.time!r} is not finite")
-            try:
-                acc = _BYTE_HEX[pkt.acc]
-                true_acc = "" if pkt.true_acc is None else _BYTE_HEX[pkt.true_acc]
-            except KeyError as exc:
-                raise ValueError(f"row {count}: ACC {exc.args[0]!r} is outside 0..255") from None
-            yield (f"{pkt.time:.9f}", acc, "0" if pkt.erroneous else "1", pkt.meter_id or "",
-                   true_acc)
-
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(TRACE_HEADER)
-    writer.writerows(rows())
+    limit = csv.field_size_limit()
+    prev = _EARLIEST
+    count = 0
+    for count, pkt in enumerate(trace, start=1):
+        if not prev <= pkt.time < math.inf:  # iter_trace's test
+            raise ValueError(f"row {count}: time {pkt.time!r} is not finite or out of order")
+        prev = pkt.time
+        meter_id = pkt.meter_id or ""
+        if "\r" in meter_id or "\0" in meter_id or len(meter_id) > limit:
+            raise ValueError(f"row {count}: meter_id {meter_id[:40]!r} would not read back")
+        try:
+            acc = _BYTE_HEX[pkt.acc]
+            true_acc = "" if pkt.true_acc is None else _BYTE_HEX[pkt.true_acc]
+        except KeyError as exc:
+            raise ValueError(f"row {count}: ACC {exc.args[0]!r} is outside 0..255") from None
+        writer.writerow((f"{pkt.time:.9f}", acc, "0" if pkt.erroneous else "1", meter_id,
+                         true_acc))
     return count
 
 
@@ -88,10 +91,10 @@ _HEX_BYTES = {
 }
 
 
-def _parse_byte(text: str, line: int, column: str) -> int:
+def _parse_byte(text: str, column: str) -> int:
     value = _HEX_BYTES.get(text)
     if value is None:
-        raise TraceFormatError(line, f"{column} must be two hex digits, got {text!r}")
+        raise ValueError(f"{column} must be two hex digits, got {text!r}")
     return value
 
 
@@ -100,39 +103,34 @@ def iter_trace(inp: IO[str]) -> Iterator[PacketArrival]:
     it is read; a malformed row raises ``TraceFormatError`` once it is reached."""
     reader = csv.reader(inp)
     try:
-        header = next(reader)
-    except StopIteration:
-        raise TraceFormatError(1, "missing header row") from None
-    if header != TRACE_HEADER:
-        raise TraceFormatError(1, f"bad header {header!r}, expected {TRACE_HEADER!r}")
-    prev_time = None
-    for line, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(TRACE_HEADER):
-            raise TraceFormatError(line, f"expected {len(TRACE_HEADER)} fields, got {len(row)}")
-        time_s, acc_hex, crc_ok, meter_id, true_acc_hex = row
-        try:
-            time = float(plain_number(time_s))
-        except ValueError:
-            raise TraceFormatError(line, f"bad time {time_s!r}") from None
-        if not math.isfinite(time):
-            raise TraceFormatError(line, f"time {time_s!r} is not finite")
-        if prev_time is not None and time < prev_time:
-            raise TraceFormatError(line, f"time {time_s} precedes previous row ({prev_time:.9f})")
-        prev_time = time
-        acc = _parse_byte(acc_hex, line, "acc_hex")
-        if crc_ok not in ("0", "1"):
-            raise TraceFormatError(line, f"crc_ok must be 0 or 1, got {crc_ok!r}")
-        if true_acc_hex and not meter_id:
-            raise TraceFormatError(line, "true_acc_hex given without meter_id")
-        yield PacketArrival(
-            time=time,
-            acc=acc,
-            erroneous=crc_ok == "0",
-            meter_id=meter_id or None,
-            true_acc=_parse_byte(true_acc_hex, line, "true_acc_hex") if true_acc_hex else None,
-        )
+        header = next(reader, None)
+        if header != TRACE_HEADER:
+            raise ValueError("missing header row" if header is None else
+                             f"bad header {header!r}, expected {TRACE_HEADER!r}")
+        prev_time = _EARLIEST
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(TRACE_HEADER):
+                raise ValueError(f"expected {len(TRACE_HEADER)} fields, got {len(row)}")
+            time_s, acc_hex, crc_ok, meter_id, true_acc_hex = row
+            try:
+                time = float(plain_number(time_s))
+            except ValueError:
+                raise ValueError(f"bad time {time_s!r}") from None
+            if not prev_time <= time < math.inf:
+                raise ValueError(f"time {time_s} precedes previous row ({prev_time:.9f})"
+                                 if math.isfinite(time) else f"time {time_s!r} is not finite")
+            prev_time = time
+            acc = _parse_byte(acc_hex, "acc_hex")
+            if crc_ok not in ("0", "1"):
+                raise ValueError(f"crc_ok must be 0 or 1, got {crc_ok!r}")
+            true_acc = _parse_byte(true_acc_hex, "true_acc_hex") if true_acc_hex else None
+            yield PacketArrival(time, acc, crc_ok == "0", meter_id or None, true_acc)
+    # each row check, PacketArrival's ground-truth rule and the CSV reader's own
+    # name the reader's line, which is 0 only at an empty stream's missing header
+    except (ValueError, csv.Error) as exc:
+        raise TraceFormatError(max(reader.line_num, 1), str(exc)) from None
 
 
 _PARAM_KEYS = {f.name for f in dataclass_fields(ProtocolParams)}
@@ -151,7 +149,7 @@ def load_experiment_config(inp: IO[str]):
     """
     try:
         doc = json.load(inp)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # an over-long int or deep nesting too
         raise ConfigError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")

@@ -410,8 +410,8 @@ def probed_beta_weighted_duration(y, M, params):
         fresh.on_arrival(base)
         return fresh
 
-    edges = sorted({min(max(edge, base.time), 0.0) for slot in engine().store.iter_slots()
-                    for edge in (slot.start, slot.end)})
+    edges = sorted({min(max(edge, base.time), 0.0) for rec in engine().store._by_base.values()
+                    for slot in rec.slots for edge in (slot.start, slot.end)})
     total = 0.0
     for t0, t1 in zip(edges, edges[1:]):
         beta = sum(engine().on_arrival(PacketArrival(t0, a, False)).kind == "pair"

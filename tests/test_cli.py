@@ -241,7 +241,8 @@ class TestReplay:
     @pytest.mark.parametrize("last, message", [
         ("0.5,42,1,,\n", "time 0.5 precedes previous row"),
         ("999.0,zz,1,,\n", "acc_hex must be two hex digits, got 'zz'"),
-    ], ids=["out-of-order", "bad-hex"])
+        ("999.0,40,1," + "m" * 200_000 + ",\n", "field larger than field limit"),
+    ], ids=["out-of-order", "bad-hex", "field-over-limit"])
     def test_bad_last_row_writes_nothing(self, tmp_path, capsys, last, message):
         trace = tmp_path / "t.csv"
         with open(trace, "w", encoding="utf-8", newline="") as out:
@@ -449,6 +450,16 @@ class TestGentrace:
         code, text = run(tmp_path, "gentrace", "--config", str(cfg))
         assert (code, text) == (EXIT_PARSE, None)
         assert "params must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, '{"n": ' + "9" * 5_000 + "}"],
+                             ids=["deep-nesting", "5000-digit-n"])
+    def test_json_decoder_failures_are_parse_errors(self, tmp_path, capsys, text):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(text)
+        assert main(["gentrace", "--config", str(cfg)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid JSON: ")
 
     def test_config_directory_is_parse_error(self, tmp_path):
         code, _ = run(tmp_path, "gentrace", "--config", str(tmp_path))

@@ -23,6 +23,12 @@ def erroneous(time, acc):
     return PacketArrival(time=time, acc=acc, erroneous=True)
 
 
+def live_slots(store):
+    """The store's live slots in creation order."""
+    return sorted((slot for rec in store._by_base.values() for slot in rec.slots),
+                  key=lambda s: s.seq)
+
+
 class TestPacketArrival:
     def test_true_acc_needs_meter_id(self):
         with pytest.raises(ValueError, match="a true_acc needs a meter_id"):
@@ -30,12 +36,18 @@ class TestPacketArrival:
         # iter_trace and the fd simulator build packets with only a meter id
         assert PacketArrival(time=0.0, acc=0x40, erroneous=False, meter_id="m").true_acc is None
 
+    @pytest.mark.parametrize("true_acc", [None, 0x40])
+    def test_meter_id_may_not_be_empty(self, true_acc):
+        # a trace's empty meter_id column reads back as None
+        with pytest.raises(ValueError, match="a meter_id may not be empty"):
+            PacketArrival(1.0, 0x40, False, meter_id="", true_acc=true_acc)
+
 
 def expected_accs(y, M):
     """Expected ACCs of the step-1 slots ``create_slots`` makes for ``y``."""
     store = make_store()
     assert store.create_slots(erroneous(0.0, y), M, ref=0) == len(store)
-    return [s.xi for s in store.iter_slots()]
+    return [s.xi for s in live_slots(store)]
 
 
 class TestCandidateAccs:
@@ -85,7 +97,7 @@ class TestCreateSlots:
     def test_single_slot_for_zero_threshold(self):
         store = make_store()
         assert store.create_slots(erroneous(0.0, 0x13), 0, ref=0) == 1
-        (slot,) = store.iter_slots()
+        (slot,) = live_slots(store)
         assert slot.xi == 0x14
         assert slot.b == 0
         assert slot.step == 1
@@ -93,7 +105,7 @@ class TestCreateSlots:
     def test_table_bounds(self):
         store = make_store()
         assert store.create_slots(erroneous(5.0, 0x40), 1, ref=0) == 9
-        slots = {s.xi: s for s in store.iter_slots()}
+        slots = {s.xi: s for s in live_slots(store)}
         assert set(slots) == TABLE_XIS
         for xi, slot in slots.items():
             start, width = slot_bounds((xi - 1) % 256, 1, 5.0, PARAMS)
@@ -105,7 +117,7 @@ class TestCreateSlots:
         # xi=0x41 and xi=0xC1 describe the same window at step 1
         store = make_store()
         store.create_slots(erroneous(0.0, 0x40), 1, ref=0)
-        by_xi = {s.xi: s for s in store.iter_slots()}
+        by_xi = {s.xi: s for s in live_slots(store)}
         assert by_xi[0x41].start == by_xi[0xC1].start
         assert by_xi[0x41].width == by_xi[0xC1].width
 
@@ -113,17 +125,17 @@ class TestCreateSlots:
     def test_acc_outside_the_range_is_rejected_without_change(self, acc):
         store = make_store()
         store.create_slots(erroneous(0.0, 0x40), 1, ref=0)
-        before = copy.deepcopy(store.iter_slots())
+        before = copy.deepcopy(live_slots(store))
         with pytest.raises(ValueError, match="outside 0..255"):
             store.create_slots(erroneous(1.0, acc), 1, ref=1)
         assert len(store) == 9
-        assert store.iter_slots() == before
+        assert live_slots(store) == before
 
     def test_slots_carry_the_given_ref_and_base(self):
         store = make_store()
         pkt = erroneous(0.0, 0x40)
         store.create_slots(pkt, 1, ref=7)
-        assert {(s.base_ref, id(s.base)) for s in store.iter_slots()} == {(7, id(pkt))}
+        assert {(s.base_ref, id(s.base)) for s in live_slots(store)} == {(7, id(pkt))}
 
 
 class TestSlotsContaining:
@@ -139,7 +151,7 @@ class TestSlotsContaining:
     def test_half_open_end_excluded(self):
         store = make_store()
         store.create_slots(erroneous(0.0, 0x40), 0, ref=0)
-        (slot,) = store.iter_slots()
+        (slot,) = live_slots(store)
         assert store.slots_containing(slot.start) != []
         assert store.slots_containing(slot.end) == []
 
@@ -148,7 +160,7 @@ class TestSlotsContaining:
         # have ended, but stay live until the base's envelope ends
         store = make_store()
         store.create_slots(erroneous(0.0, 0x40), 1, ref=0)
-        own = next(s for s in store.iter_slots() if s.xi == 0x41)
+        own = next(s for s in live_slots(store) if s.xi == 0x41)
         assert {s.xi for s in store.slots_containing(own.start)} == {0x41, 0xC1}
         assert store.slots_containing(own.end + 1.0) == []
 
@@ -170,7 +182,7 @@ class TestWindows:
         # share one window; the other seven windows are apart
         store = make_store()
         store.create_slots(erroneous(0.0, 0x40), 1, ref=0)
-        own = next(s for s in store.iter_slots() if s.xi == 0x41)
+        own = next(s for s in live_slots(store) if s.xi == 0x41)
         assert len(store) == 9
         assert len(store.windows()) == 8
         assert (own.start, own.end) in store.windows()
@@ -190,7 +202,7 @@ class TestWindows:
         pairs = store.windows()
         for (_, end), (start, _) in zip(pairs, pairs[1:]):
             assert end < start
-        assert pairs == merged((s.start, s.end) for s in store.iter_slots())
+        assert pairs == merged((s.start, s.end) for s in live_slots(store))
 
 
 
@@ -199,14 +211,14 @@ class TestAdvanceExpired:
         store = make_store()
         store.create_slots(erroneous(0.0, 0x40), 0, ref=0)
         assert store.slots_containing(1.0) == []
-        (slot,) = store.iter_slots()
+        (slot,) = live_slots(store)
         assert slot.step == 1
 
     def test_advance_recomputes_from_base_path(self):
         store = make_store()
         store.create_slots(erroneous(0.0, 0x40), 0, ref=0)
         assert store.slots_containing(17.0) == []
-        (slot,) = store.iter_slots()
+        (slot,) = live_slots(store)
         assert slot.xi == 0x42
         assert slot.step == 2
         assert (slot.start, slot.width) == slot_bounds(0x40, 2, 0.0, PARAMS)
@@ -215,7 +227,7 @@ class TestAdvanceExpired:
         store = make_store()
         store.create_slots(erroneous(0.0, 0x40), 1, ref=0)
         store.slots_containing(18.0)
-        by_xi = {s.xi: s for s in store.iter_slots()}
+        by_xi = {s.xi: s for s in live_slots(store)}
         assert by_xi[0x42].start != by_xi[0xC2].start
 
     def test_timeout_removal(self):
@@ -241,7 +253,7 @@ class TestAdvanceExpired:
         store = make_store()
         store.create_slots(erroneous(0.0, 0x40), 0, ref=0)
         assert store.slots_containing(50.0) == []
-        (slot,) = store.iter_slots()
+        (slot,) = live_slots(store)
         assert slot.step == 4
 
     def test_timeout_limited_to_disjoint_windows(self):
@@ -269,7 +281,7 @@ class TestAdvanceExpired:
         store.create_slots(erroneous(0.0, y), 1, ref=0)
         for k in range(rounds):
             store.slots_containing(20.0 * (k + 1))
-        for slot in store.iter_slots():
+        for slot in live_slots(store):
             base = (slot.xi - slot.step) % 256
             assert (slot.start, slot.width) == slot_bounds(base, slot.step, 0.0, PARAMS)
             assert slot.step <= store.timeout
@@ -304,7 +316,7 @@ def arrive_in_earliest_window(store):
     Marks the hits itself as well, so the drop rules are tested apart from
     the code that sets ``saw_arrival``.
     """
-    first = min(store.iter_slots(), key=lambda s: s.end)
+    first = min(live_slots(store), key=lambda s: s.end)
     hits = store.slots_containing(first.start)
     assert [s.seq for s in hits] == [first.seq]
     for slot in hits:
@@ -323,15 +335,15 @@ class TestLeavingAtOwnEnd:
         assert len(store) == 9
         assert store.slots_containing(first.end) == []
         assert len(store) == 8
-        assert all(s.end > first.end for s in store.iter_slots())
-        assert all(s.step == 1 for s in store.iter_slots())
+        assert all(s.end > first.end for s in live_slots(store))
+        assert all(s.step == 1 for s in live_slots(store))
 
     @pytest.mark.parametrize("timeout", [1, 3])
     def test_final_step_candidates_leave_one_by_one(self, timeout):
         store = make_store(timeout=timeout)
         store.create_slots(erroneous(0.0, 0x40), 1, ref=0)
         assert store.slots_containing(16.0 * timeout - 8.0) == []
-        slots = store.iter_slots()
+        slots = live_slots(store)
         assert {s.step for s in slots} == {timeout} and len(slots) == 9
         for end in sorted({s.end for s in slots}):
             assert store.slots_containing(end) == []
@@ -348,17 +360,17 @@ class TestLeavingAtOwnEnd:
         assert 0 < gone < 9
         assert store.slots_containing(now) == []
         assert len(store) == 9 - gone
-        assert all(s.step == 2 and s.end > now for s in store.iter_slots())
+        assert all(s.step == 2 and s.end > now for s in live_slots(store))
 
 
 class TestSawArrival:
     def test_slots_containing_marks_its_hits(self):
         store = make_store()
         store.create_slots(erroneous(0.0, 0x40), 1, ref=0)
-        first = min(store.iter_slots(), key=lambda s: s.end)
+        first = min(live_slots(store), key=lambda s: s.end)
         hits = store.slots_containing(first.start)
         assert [s.saw_arrival for s in hits] == [True]
-        assert sum(s.saw_arrival for s in store.iter_slots()) == 1
+        assert sum(s.saw_arrival for s in live_slots(store)) == 1
 
 
 # op codes for the store-contract test; every time is a multiple of params.t
@@ -401,18 +413,18 @@ class TestStoreContract:
                 if op[0] == _QUERY:
                     now += op[1] * params.t
                 elif op[2] is not None:
-                    live = [s for s in store.iter_slots() if s.end > now]
+                    live = [s for s in live_slots(store) if s.end > now]
                     if live:
                         slot = live[op[1] % len(live)]
                         now = max(now, slot.start + op[2] * slot.width)
                 hits = store.slots_containing(now)
                 assert sorted(s.seq for s in hits) == [
-                    s.seq for s in store.iter_slots() if s.start <= now < s.end]
+                    s.seq for s in live_slots(store) if s.start <= now < s.end]
                 assert all(s.saw_arrival for s in hits)
                 # seen and final-step slots leave at the first query at or after their end
-                assert all(s.end > now for s in store.iter_slots()
+                assert all(s.end > now for s in live_slots(store)
                            if s.saw_arrival or s.step == timeout)
-            slots = store.iter_slots()
+            slots = live_slots(store)
             assert len(store) == len(slots)
             assert store.peak == peak
             for s in slots:
@@ -421,20 +433,20 @@ class TestStoreContract:
                     (s.xi - s.step) % params.L, s.step, s.base.time, params)
 
     def _snapshot(self, store):
-        return [copy.copy(s) for s in store.iter_slots()]
+        return [copy.copy(s) for s in live_slots(store)]
 
     def test_query_before_the_last_one_is_rejected(self):
         # the skip time would make the earlier query miss the earliest window
         store = make_store()
         store.create_slots(erroneous(0.0, 0x40), 1, 0)
-        starts = sorted(s.start for s in store.iter_slots())
+        starts = sorted(s.start for s in live_slots(store))
         hits = store.slots_containing(starts[-1])
         assert hits
         before = self._snapshot(store)
         with pytest.raises(TraceOrderError, match="precedes"):
             store.slots_containing(starts[0])
         assert len(store) == 9
-        assert store.iter_slots() == before
+        assert live_slots(store) == before
         # the same time again still finds its hits
         assert store.slots_containing(starts[-1]) == hits
 
@@ -446,5 +458,5 @@ class TestStoreContract:
         with pytest.raises(TraceOrderError, match="not finite"):
             store.slots_containing(bad)
         assert len(store) == 9
-        assert store.iter_slots() == before
+        assert live_slots(store) == before
         assert store.slots_containing(0.0) == []

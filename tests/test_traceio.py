@@ -1,8 +1,13 @@
+import csv
 import io
 import json
 import math
+import re
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from accpair.simulate import SimConfig, generate_trace
 from accpair.slots import PacketArrival
@@ -20,6 +25,9 @@ HEADER = "time_s,acc_hex,crc_ok,meter_id,true_acc_hex\n"
 
 def parse(text):
     return list(iter_trace(io.StringIO(text)))
+
+
+GOOD = PacketArrival(0.5, 0x41, False, meter_id="m", true_acc=0x41)
 
 
 class TestTraceRoundTrip:
@@ -50,20 +58,55 @@ class TestWriteRefusesUnreadableRows:
         assert write_trace(buf, trace) == 2
         assert parse(buf.getvalue()) == trace
 
-    @pytest.mark.parametrize("bad, message", [
-        (PacketArrival(1.0, 0x19a, True, meter_id="m", true_acc=0x19a), "ACC 410 "),
-        (PacketArrival(1.0, -1, True), "ACC -1 "),
-        (PacketArrival(1.0, 0x40, False, meter_id="m", true_acc=256), "ACC 256 "),
-        (PacketArrival(math.nan, 0x40, True), "time nan "),
-        (PacketArrival(math.inf, 0x40, True), "time inf "),
-    ], ids=["L512-acc", "negative-acc", "true-acc", "nan-time", "inf-time"])
-    def test_row_iter_trace_would_reject_raises(self, bad, message):
-        good = PacketArrival(0.5, 0x41, False, meter_id="m", true_acc=0x41)
+    @pytest.mark.parametrize("rows, message", [
+        ([GOOD, PacketArrival(1.0, 0x19a, True, meter_id="m", true_acc=0x19a)], "ACC 410 "),
+        ([GOOD, PacketArrival(1.0, -1, True)], "ACC -1 "),
+        ([GOOD, PacketArrival(1.0, 0x40, False, meter_id="m", true_acc=256)], "ACC 256 "),
+        ([GOOD, PacketArrival(math.nan, 0x40, True)], "time nan "),
+        ([GOOD, PacketArrival(math.inf, 0x40, True)], "time inf "),
+        ([PacketArrival(2.0, 1, False), PacketArrival(1.0, 2, False)], "time 1.0 "),
+        ([GOOD, PacketArrival(1.0, 0x40, True, meter_id="a\rb")], "meter_id 'a\\rb' "),
+        ([GOOD, PacketArrival(1.0, 0x40, True, meter_id="a\0b")], "meter_id 'a\\x00b' "),
+        ([PacketArrival(-math.inf, 0x40, True)], "time -inf "),
+        ([GOOD, PacketArrival(1.0, 0x40, True, meter_id="m" * (csv.field_size_limit() + 1))],
+         "meter_id 'mmm"),
+    ], ids=["L512-acc", "negative-acc", "true-acc", "nan-time", "inf-time", "out-of-order",
+            "carriage-return-id", "nul-id", "first-time-minus-inf", "id-over-field-limit"])
+    def test_row_iter_trace_would_reject_raises(self, rows, message):
         buf = io.StringIO()
-        with pytest.raises(ValueError, match=f"row 2: {message}"):
-            write_trace(buf, [good, bad])
+        with pytest.raises(ValueError, match=re.escape(f"row {len(rows)}: {message}")):
+            write_trace(buf, rows)
         # the rows before the bad one may be written, and they read back
-        assert parse(buf.getvalue()) in ([], [good])
+        assert parse(buf.getvalue()) in ([], rows[:-1])
+
+    def test_longest_meter_id_the_reader_takes_round_trips(self):
+        trace = [PacketArrival(1.0, 0x40, True, meter_id="m" * csv.field_size_limit())]
+        buf = io.StringIO()
+        assert write_trace(buf, trace) == 1
+        assert parse(buf.getvalue()) == trace
+
+    @given(st.lists(st.tuples(
+        st.floats(), st.integers(-1, 256), st.booleans(),
+        st.none() | st.text(min_size=1), st.none() | st.integers(-1, 256)), max_size=6),
+        st.booleans())
+    @settings(max_examples=2000, deadline=None)
+    def test_every_trace_written_reads_back(self, fields, in_time_order):
+        if in_time_order:
+            fields.sort(key=lambda f: f[0])
+        trace = [PacketArrival(t, acc, err, meter_id, None if meter_id is None else true_acc)
+                 for t, acc, err, meter_id, true_acc in fields]
+        # the times as written, to 9 fractional digits
+        expected = [replace(pkt, time=float(f"{pkt.time:.9f}")) for pkt in trace
+                    if math.isfinite(pkt.time)]
+        buf = io.StringIO()
+        try:
+            assert write_trace(buf, trace) == len(trace)
+        except ValueError as exc:
+            # a refused row is named, and the rows before it read back
+            refused = int(re.match(r"row (\d+): ", str(exc)).group(1))
+            assert parse(buf.getvalue()) in ([], expected[:refused - 1])
+        else:
+            assert parse(buf.getvalue()) == expected
 
     def test_trace_of_a_wider_counter_raises(self):
         trace = generate_trace(SimConfig(params=ProtocolParams(L=512), n=20, horizon=100.0))
@@ -144,6 +187,18 @@ class TestTraceParsing:
         with pytest.raises(TraceFormatError, match="meter_id"):
             parse(HEADER + "1.0,40,1,,41\n")
 
+    @pytest.mark.parametrize("text, line", [
+        ("m" * 200_000 + "\n", 1),
+        (HEADER + "1.0,40,1,,\n2.0,40,1," + "m" * 200_000 + ",\n", 3),
+    ], ids=["header", "row"])
+    def test_field_over_the_csv_limit_names_its_line(self, text, line):
+        with pytest.raises(TraceFormatError, match=f"line {line}: field larger than field limit"):
+            parse(text)
+
+    def test_line_is_the_physical_line_past_a_quoted_line_break(self):
+        with pytest.raises(TraceFormatError, match="line 4: acc_hex"):
+            parse(HEADER + '1.0,40,1,"a\nb",\n2.0,zz,1,,\n')
+
     def test_wrong_field_count(self):
         with pytest.raises(TraceFormatError, match="fields"):
             parse(HEADER + "1.0,40,1\n")
@@ -194,6 +249,9 @@ class TestExperimentConfig:
             '{"body_error_prob": 2.0}',
             '{"horizon": 1e12}',
             '{"n": 1000000000000, "horizon": 0}',
+            # json raises RecursionError and a plain ValueError for these
+            pytest.param("[" * 100_000 + "]" * 100_000, id="deep-nesting"),
+            pytest.param('{"n": ' + "9" * 5_000 + "}", id="5000-digit-n"),
         ],
     )
     def test_values_that_hang_or_crash_later_rejected(self, text):
