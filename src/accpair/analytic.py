@@ -2,10 +2,13 @@
 
 With error-free channels the only way a pairing can be false is that an
 interfering packet lands, with a compatible ACC, in one of the predicted
-step-1 windows before the genuine next packet arrives.  This module sweeps
-the edges of those windows to find ``sigma_beta``, the time during which
-exactly ``beta`` ACC values would falsely pair, and evaluates the resulting
-closed form under Poisson interference of rate ``lambda = n / t``.
+step-1 windows before the genuine next packet arrives.  This module finds
+``sigma_beta``, the time during which exactly ``beta`` ACC values would
+falsely pair, and evaluates the resulting closed form under Poisson
+interference of rate ``lambda = n / t``.  It groups the windows by overlap:
+a window that overlaps no other adds its width to the beta of its own ACC
+set, whose size is that of a Hamming ball, and only the edges of a group of
+overlapping windows are swept.
 
 Caches keep the sweep cheap without changing a bit of its output: the
 step-1 window ``(tnom, theta, tau)`` of every base ACC, the engine's row
@@ -70,42 +73,66 @@ def sigma(y: int, M: int, params: ProtocolParams) -> Dict[int, float]:
     ``(tnom, theta, tau)`` of ``c`` with the same expression.  Time 0 is
     the nominal arrival of the genuine next packet, so every window is cut
     at 0 and the own window is exposed for its lead time.  The window pairs
-    with the ACC values within ``M - H(y, c)`` bits of ``c + 1``, held as
-    the set bits of an L-bit int.  Between consecutive window edges the
-    segment counts the union of the ACC values that would pair with any
-    window open in it, the ``bit_count()`` of the OR of their bits, so
-    overlapping windows are counted once.
+    with the ACC values within ``M - H(y, c)`` bits of ``c + 1``.
+
+    The windows, sorted by start, fall into overlap groups: a window joins
+    the group while it starts strictly before the group's latest end.  A
+    window alone in its group adds its width to the beta of its own ACC
+    set, ``len(hamming_ball(M - H(y, c), L))``: XOR with ``c + 1`` maps the
+    ball onto that set one to one.  A group of several windows is swept
+    edge by edge, ends before starts at equal times; each segment counts
+    the union of the ACC sets of the windows open in it, the
+    ``bit_count()`` of the OR of their L-bit sets, so overlapping windows
+    are counted once.  Groups follow in time order, so every beta gets the
+    same additions, in the same order, as one sweep over all edges.
     """
     L = params.L
     origin = -nominal_interval(y, 1, params)  # checks y against L
     windows = window_row(params, 1)
-    edges = []  # (time, opens, mask of the candidate)
-    allowed: Dict[int, int] = {}
+    spans = []  # (start, end, mask of the candidate)
     for m in hamming_ball(M, L):
-        c = y ^ m
-        tnom, theta, tau = windows[c]
+        tnom, theta, tau = windows[y ^ m]
         start = origin + tnom - theta  # slot_bounds' expression: the same bits
-        end = start + tau
-        if end > 0.0:  # min(end, 0.0), without the call
-            end = 0.0
-        if start < end:  # else empty, or not before the genuine arrival
-            allowed[m] = _ball_bits((c + 1) % L, M - m.bit_count(), L)
+        if start < 0.0:  # else not before the genuine arrival
+            end = start + tau
+            if end > 0.0:  # min(end, 0.0), without the call
+                end = 0.0
+            if start < end:
+                spans.append((start, end, m))
+    spans.sort()
+    groups = []  # runs of spans that overlap in time
+    for span in spans:
+        if groups and span[0] < reach:
+            groups[-1].append(span)
+            if span[1] > reach:
+                reach = span[1]
+        else:
+            groups.append([span])
+            reach = span[1]
+    out: Dict[int, float] = {}
+    for group in groups:
+        if len(group) == 1:
+            (start, end, m), = group
+            beta = len(hamming_ball(M - m.bit_count(), L))
+            out[beta] = out.get(beta, 0.0) + (end - start)
+            continue
+        edges = []  # (time, opens, mask of the candidate)
+        for start, end, m in group:
             edges.append((start, True, m))
             edges.append((end, False, m))
-    edges.sort()  # at equal times a window ends before another starts
-    out: Dict[int, float] = {}
-    active: Dict[int, int] = {}  # mask -> ACC bits of each open window
-    for (t0, opens, m), (t1, _, _) in zip(edges, edges[1:]):
-        if opens:
-            active[m] = allowed[m]
-        else:
-            del active[m]
-        if active and t0 < t1:
-            union = 0
-            for bits in active.values():
-                union |= bits
-            beta = union.bit_count()
-            out[beta] = out.get(beta, 0.0) + (t1 - t0)
+        edges.sort()  # at equal times a window ends before another starts
+        active: Dict[int, int] = {}  # mask -> ACC bits of each open window
+        for (t0, opens, m), (t1, _, _) in zip(edges, edges[1:]):
+            if opens:
+                active[m] = _ball_bits(((y ^ m) + 1) % L, M - m.bit_count(), L)
+            else:
+                del active[m]
+            if active and t0 < t1:
+                union = 0
+                for bits in active.values():
+                    union |= bits
+                beta = union.bit_count()
+                out[beta] = out.get(beta, 0.0) + (t1 - t0)
     return out
 
 
@@ -134,16 +161,18 @@ def qM(y: int, M: int, n: float, params: ProtocolParams) -> float:
     """False-detection probability for base ACC ``y`` with ``n`` meters."""
     check_finite_nonnegative("meter count", n)
     lam = n / params.t
-    return -math.expm1(-lam / params.L * _beta_weighted_duration(y, M, params))
+    rate = -lam / params.L
+    return -math.expm1(rate * _beta_weighted_duration(y, M, params))
 
 
 def mean_qM(M: int, n: float, params: ProtocolParams) -> float:
     """``qM`` averaged over all possible base ACC values."""
     check_finite_nonnegative("meter count", n)
     lam = n / params.t
+    rate = -lam / params.L  # the bits of -lam / params.L * w, which divides first
     total = 0.0  # not sum(): see _beta_weighted_duration
     for w in _beta_weighted_durations(M, params):
-        total += -math.expm1(-lam / params.L * w)
+        total += -math.expm1(rate * w)
     return total / params.L
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from accpair.analytic import (
     SaturationError,
+    _ball_bits,
     _beta_weighted_duration,
     _beta_weighted_durations,
     max_distinguishable_meters,
@@ -29,10 +30,12 @@ from accpair.slots import PacketArrival
 from accpair.timing import (
     ProtocolParams,
     hamming,
+    hamming_ball,
     jitter_index,
     lead_time,
     nominal_interval,
     slot_bounds,
+    window_row,
 )
 
 PARAMS = ProtocolParams()
@@ -420,6 +423,15 @@ def probed_beta_weighted_duration(y, M, params):
     return total
 
 
+def drawn_delta_map(data, L, t):
+    """Offsets within 0.45 t, shifted to a zero mean over an ACC cycle."""
+    raw = data.draw(st.lists(st.floats(-0.45, 0.45), min_size=L // 2 + 1,
+                             max_size=L // 2 + 1))
+    index = [jitter_index(x, ProtocolParams(L=L)) for x in range(L)]
+    mean = sum(raw[s] for s in index) / L
+    return tuple(t * (v - mean) for v in raw)
+
+
 @given(
     L=st.sampled_from([4, 8, 16, 32]),
     t=st.floats(0.01, 64.0),
@@ -432,14 +444,7 @@ def probed_beta_weighted_duration(y, M, params):
 )
 @settings(max_examples=100, deadline=None)
 def test_closed_form_matches_engine_probe(L, t, nu_a, nu_b, gamma_a, gamma_b, with_map, data):
-    delta_map = None
-    if with_map:
-        # offsets within 0.45 t, shifted to a zero mean over an ACC cycle
-        raw = data.draw(st.lists(st.floats(-0.45, 0.45), min_size=L // 2 + 1,
-                                 max_size=L // 2 + 1))
-        index = [jitter_index(x, ProtocolParams(L=L)) for x in range(L)]
-        mean = sum(raw[s] for s in index) / L
-        delta_map = tuple(t * (v - mean) for v in raw)
+    delta_map = drawn_delta_map(data, L, t) if with_map else None
     params = params_or_reject(L=L, t=t, nu_a=nu_a, nu_b=nu_b, gamma_a=gamma_a,
                               gamma_b=gamma_b, delta_map=delta_map)
     M = data.draw(st.integers(0, L.bit_length() - 1), label="M")
@@ -447,6 +452,87 @@ def test_closed_form_matches_engine_probe(L, t, nu_a, nu_b, gamma_a, gamma_b, wi
     expected = _beta_weighted_duration(y, M, params)
     got = probed_beta_weighted_duration(y, M, params)
     assert abs(got - expected) <= 1e-12 * expected, (got, expected)
+
+
+def edge_swept_sigma(y, M, params):
+    """``sigma`` by one sweep over the edges of every window, groups or not.
+
+    The bit-exact reference of the grouped sweep: the same windows and ACC
+    sets, every segment between consecutive edges counted in time order.
+    """
+    L = params.L
+    origin = -nominal_interval(y, 1, params)
+    windows = window_row(params, 1)
+    edges = []  # (time, opens, mask of the candidate)
+    allowed = {}
+    for m in hamming_ball(M, L):
+        c = y ^ m
+        tnom, theta, tau = windows[c]
+        start = origin + tnom - theta
+        end = start + tau
+        if end > 0.0:
+            end = 0.0
+        if start < end:
+            allowed[m] = _ball_bits((c + 1) % L, M - m.bit_count(), L)
+            edges.append((start, True, m))
+            edges.append((end, False, m))
+    edges.sort()  # at equal times a window ends before another starts
+    out = {}
+    active = {}
+    for (t0, opens, m), (t1, _, _) in zip(edges, edges[1:]):
+        if opens:
+            active[m] = allowed[m]
+        else:
+            del active[m]
+        if active and t0 < t1:
+            union = 0
+            for bits in active.values():
+                union |= bits
+            beta = union.bit_count()
+            out[beta] = out.get(beta, 0.0) + (t1 - t0)
+    return out
+
+
+@given(
+    L=st.sampled_from([4, 8, 16, 32]),
+    t=st.floats(0.01, 64.0),
+    nu_a=st.floats(0.0, 0.01),
+    nu_b=st.floats(0.0, 0.01),
+    gamma_a=st.floats(0.0, 0.5),
+    gamma_b=st.floats(0.0, 0.5),
+    with_map=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_grouped_sweep_matches_edge_sweep_bit_for_bit(L, t, nu_a, nu_b, gamma_a, gamma_b,
+                                                       with_map, data):
+    delta_map = drawn_delta_map(data, L, t) if with_map else None
+    params = params_or_reject(L=L, t=t, nu_a=nu_a, nu_b=nu_b, gamma_a=gamma_a,
+                              gamma_b=gamma_b, delta_map=delta_map)
+    for M in range(L.bit_length()):
+        for y in range(L):
+            # the same values and the same key order, not equal within 1e-12
+            assert list(sigma(y, M, params).items()) == list(
+                edge_swept_sigma(y, M, params).items()), (y, M)
+
+
+#: L=4 windows 0.25 s wide: from base 0, ACC 1's and ACC 3's windows
+#: coincide on [-0.375, -0.125), ACC 2's ends at -0.375 where they start,
+#: and the own window starts at -0.125 where they end.
+TOUCHING = ProtocolParams(L=4, t=1.0, nu_a=0.0, nu_b=0.0, gamma_a=0.125, gamma_b=0.125,
+                          delta_map=(-0.25, 0.0, 0.25))
+
+
+@pytest.mark.parametrize("y, by_M", enumerate([
+    [{1: 0.125}, {1: 0.5, 3: 0.125}, {3: 0.5, 4: 0.125}],
+    [{1: 0.125}, {3: 0.125}, {1: 0.25, 4: 0.125}],
+    [{1: 0.125}, {3: 0.125}, {4: 0.125}],
+    [{1: 0.125}, {1: 0.25, 3: 0.125}, {3: 0.25, 4: 0.125}],
+]))
+def test_sigma_of_touching_and_coinciding_windows(y, by_M):
+    for M, expected in enumerate(by_M):
+        assert list(sigma(y, M, TOUCHING).items()) == list(expected.items()), M
+        assert list(edge_swept_sigma(y, M, TOUCHING).items()) == list(expected.items()), M
 
 
 def test_probe_counts_a_window_one_subnormal_wide():
