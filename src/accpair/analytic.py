@@ -30,8 +30,8 @@ from bisect import bisect_right
 from functools import lru_cache
 from typing import Dict, Tuple
 
-from .timing import ProtocolParams, check_finite_nonnegative, hamming_ball, nominal_interval
-from .timing import window_row
+from .timing import ProtocolParams, check_count, check_finite_nonnegative, hamming_ball
+from .timing import nominal_interval, window_row
 
 
 #: Largest meter count the sizing search tries before giving up.
@@ -50,8 +50,7 @@ def q0(lam: float, sigma: float, L: int = 256) -> float:
     """
     check_finite_nonnegative("rate", lam)
     check_finite_nonnegative("duration", sigma)
-    if not isinstance(L, int) or isinstance(L, bool) or L < 1:
-        raise ValueError(f"L must be an integer >= 1, got {L!r}")
+    check_count("L", L, 1)
     return -math.expm1(-lam * sigma / L)
 
 

@@ -17,7 +17,7 @@ from typing import IO, Iterator, List, Optional
 from .analytic import mean_qM, qM
 from .engine import ANALYSIS, DEPLOYMENT, PairingEngine
 from .simulate import SimConfig, generate_trace, replay, simulate_false_detection, simulate_memory
-from .timing import ProtocolParams, check_acc, check_threshold
+from .timing import ProtocolParams, check_acc, check_finite_nonnegative, check_threshold
 from .traceio import ConfigError, TraceFormatError, load_experiment_config, plain_number
 from .traceio import iter_trace, write_trace
 
@@ -90,6 +90,7 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     ns = _parse_n_range(args.n_range)
     acc = _parse_acc(args.acc, params.L)
     check_threshold(args.M, params.L)
+    check_finite_nonnegative("meter count", ns[-1])  # the largest; before any output opens
     with _output(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["n", "acc", "q"])

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple, Typ
 
 from .engine import ANALYSIS, DEPLOYMENT, PairingEngine
 from .slots import PacketArrival
-from .timing import ProtocolParams, check_finite_nonnegative, check_threshold
+from .timing import ProtocolParams, check_count, check_finite_nonnegative, check_threshold
 from .timing import hamming_ball, nominal_interval, window_row
 
 if TYPE_CHECKING:
@@ -69,30 +69,17 @@ class SimConfig:
     body_error_prob: Optional[float] = None
 
     def __post_init__(self) -> None:
-        for name in ("n", "trials", "timeout", "rng_seed"):
+        for name, least in (("n", 0), ("trials", 1), ("timeout", 1), ("rng_seed", 0)):
+            check_count(name, getattr(self, name), least)
+        for name in ("epsilon", "p", "body_error_prob"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("epsilon", "p", "horizon", "emission_jitter", "body_error_prob"):
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be nonnegative, got {self.rng_seed}")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must be in [0, 1], got {self.p}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.n < 0:
-            raise ValueError(f"meter count must be nonnegative, got {self.n}")
+            if value is None and name == "body_error_prob":  # derived from epsilon
+                continue
+            if value is None or isinstance(value, bool) or not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value!r}")
         check_threshold(self.M, self.params.L)
-        if self.timeout < 1:
-            raise ValueError(f"timeout must be >= 1, got {self.timeout}")
         check_finite_nonnegative("horizon", self.horizon)
         check_finite_nonnegative("emission_jitter", self.emission_jitter)
-        if self.body_error_prob is not None and not 0.0 <= self.body_error_prob <= 1.0:
-            raise ValueError(f"body_error_prob must be in [0, 1], got {self.body_error_prob}")
 
     @property
     def effective_body_error_prob(self) -> float:

@@ -44,16 +44,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
+from .timing import LARGEST_FLOAT, ProtocolParams, check_acc, check_count, hamming_ball, window_row
 # slot_bounds is not called here, but perfbench's tracer test reads it under this name
-from .timing import ProtocolParams, check_acc, hamming_ball, slot_bounds, window_row  # noqa: F401
+from .timing import slot_bounds  # noqa: F401
 
 
 class TraceOrderError(ValueError):
     """Raised when arrivals are fed out of time order."""
-
-
-#: the least finite float: ``prev <= time < math.inf`` from it refuses -inf too
-_EARLIEST = math.nextafter(-math.inf, 0.0)
 
 
 @dataclass
@@ -129,8 +126,7 @@ class SlotStore:
     """
 
     def __init__(self, params: ProtocolParams, timeout: int = 10) -> None:
-        if not isinstance(timeout, int) or isinstance(timeout, bool) or timeout < 1:
-            raise ValueError(f"timeout must be an integer >= 1, got {timeout!r}")
+        check_count("timeout", timeout, 1)
         if timeout > params.max_timeout:
             raise ValueError(f"timeout {timeout} exceeds {params.max_timeout}, the largest "
                              "at which one base's windows close step by step")
@@ -144,7 +140,7 @@ class SlotStore:
         self._live = 0
         self.peak = 0
         self._next_seq = 0
-        self._now = _EARLIEST  # time of the last query
+        self._now = -LARGEST_FLOAT  # time of the last query
 
     def __len__(self) -> int:
         return self._live
@@ -207,9 +203,9 @@ class SlotStore:
         ``TraceOrderError``, before any change, if ``time`` is not finite or
         precedes the previous query's.
         """
-        if not self._now <= time < math.inf:
+        if not self._now <= time <= LARGEST_FLOAT:
             raise TraceOrderError(f"time {time} precedes the previous query at {self._now}"
-                                  if math.isfinite(time) else f"time {time} is not finite")
+                                  if abs(time) <= LARGEST_FLOAT else f"time {time} is not finite")
         self._now = time
         hits: List[VirtualSlot] = []
         expired = 0

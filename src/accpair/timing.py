@@ -11,6 +11,7 @@ of plain ints and floats and is safe to call concurrently.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Tuple
@@ -19,6 +20,10 @@ from typing import Optional, Tuple
 #: yields 7.8125 ms per jitter step and a +-0.5 s total swing, zero-mean
 #: over a full ACC cycle.
 DEFAULT_DELTA_DIVISOR = 2048.0
+
+#: The largest finite float: a number is finite if it lies within +-LARGEST_FLOAT, which
+#: NaN, the infinities and an int too large for a float (never converted) all fail.
+LARGEST_FLOAT = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -58,13 +63,15 @@ class ProtocolParams:
         if type(self.L) is not int or self.L < 2 or self.L & (self.L - 1):  # bool is excluded
             raise ValueError(f"L must be an integer power of two, got {self.L!r}")
         # NaN fails this range check; a bool is not taken for a number
-        if isinstance(self.t, bool) or not 0 < self.t < math.inf:
+        if isinstance(self.t, bool) or not 0 < self.t <= LARGEST_FLOAT:
             raise ValueError(f"t must be finite and positive, got {self.t}")
         for name in ("nu_a", "nu_b", "gamma_a", "gamma_b"):
             check_finite_nonnegative(name, getattr(self, name))
         if self.delta_map is not None:
-            # normalize to a tuple so the instance stays hashable
-            object.__setattr__(self, "delta_map", tuple(float(v) for v in self.delta_map))
+            try:  # normalize to a tuple so the instance stays hashable
+                object.__setattr__(self, "delta_map", tuple(float(v) for v in self.delta_map))
+            except OverflowError:  # an int too large for a float
+                raise ValueError("a delta_map entry is not finite") from None
             if len(self.delta_map) != self.L // 2 + 1:
                 raise ValueError(
                     f"delta_map must cover jitter indices 0..{self.L // 2}, "
@@ -74,7 +81,7 @@ class ProtocolParams:
             raise ValueError(f"L = {self.L} needs a delta_map: built-in offsets need L <= 4096")
         intervals = tuple(self.t + self.delta(jitter_index(x, self)) for x in range(self.L))
         object.__setattr__(self, "intervals", intervals)
-        bad = next((v for v in intervals if not 0 < v < math.inf), None)
+        bad = next((v for v in intervals if not 0 < v <= LARGEST_FLOAT), None)
         if bad is not None:
             raise ValueError(f"an interval t + delta is nonpositive or not finite ({bad:g} s)")
         # t must be the average interval: delta averaged over one full ACC
@@ -102,13 +109,22 @@ class ProtocolParams:
 
 
 def check_finite_nonnegative(name: str, value: float) -> float:
-    """Validate that ``value`` is a finite number >= 0, not NaN or a bool, and return it."""
-    if isinstance(value, bool) or not 0 <= value < math.inf:
+    """Return ``value`` if it is a number in [0, LARGEST_FLOAT], not a bool, else raise
+    ``ValueError``; it is compared, never converted, so a huge int is refused as inf is."""
+    if isinstance(value, bool) or not 0 <= value <= LARGEST_FLOAT:
         raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
     return value
 
 
-def check_acc(x: int, L: int = 256) -> int:
+def check_count(name: str, value: int, least: int = 0) -> int:
+    """Return ``value`` if it is an int >= ``least``, not a bool, else raise ``ValueError``;
+    a float such as ``1.0`` or a numpy integer is not an int."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def check_acc(x: int, L: int) -> int:
     """Validate that ``x`` is a legal ACC value, an int in 0..L-1, and return it."""
     if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < L:
         raise ValueError(f"ACC value {x!r} outside 0..{L - 1}")
@@ -125,7 +141,7 @@ def hamming(a: int, b: int) -> int:
     return (a ^ b).bit_count()
 
 
-def check_threshold(M: int, L: int = 256) -> int:
+def check_threshold(M: int, L: int) -> int:
     """Validate a bit-error threshold: an int ``M`` in 0..log2(L).  Returns ``M``."""
     bits = L.bit_length() - 1
     if not isinstance(M, int) or isinstance(M, bool) or not 0 <= M <= bits:
@@ -134,7 +150,7 @@ def check_threshold(M: int, L: int = 256) -> int:
 
 
 @lru_cache(maxsize=None, typed=True)
-def hamming_ball(M: int, L: int = 256) -> Tuple[int, ...]:
+def hamming_ball(M: int, L: int) -> Tuple[int, ...]:
     """XOR masks of Hamming weight <= ``M`` over the log2(L) ACC bits.
 
     ``{y ^ m for m in hamming_ball(M, L)}`` is every ACC within ``M`` bit

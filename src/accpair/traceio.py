@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import fields as dataclass_fields
 from typing import IO, Iterable, Iterator
 
 from .simulate import SimConfig, check_trace_fits
-from .slots import _EARLIEST, PacketArrival
-from .timing import ProtocolParams
+from .slots import PacketArrival
+from .timing import LARGEST_FLOAT, ProtocolParams, check_count
 
 TRACE_HEADER = ["time_s", "acc_hex", "crc_ok", "meter_id", "true_acc_hex"]
 
@@ -56,10 +55,10 @@ def write_trace(out: IO[str], trace: Iterable[PacketArrival]) -> int:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(TRACE_HEADER)
     limit = csv.field_size_limit()
-    prev = _EARLIEST
+    prev = -LARGEST_FLOAT  # the least finite float, so -inf is refused too
     count = 0
     for count, pkt in enumerate(trace, start=1):
-        if not prev <= pkt.time < math.inf:  # iter_trace's test
+        if not prev <= pkt.time <= LARGEST_FLOAT:  # iter_trace's test
             raise ValueError(f"row {count}: time {pkt.time!r} is not finite or out of order")
         prev = pkt.time
         meter_id = pkt.meter_id or ""
@@ -107,7 +106,7 @@ def iter_trace(inp: IO[str]) -> Iterator[PacketArrival]:
         if header != TRACE_HEADER:
             raise ValueError("missing header row" if header is None else
                              f"bad header {header!r}, expected {TRACE_HEADER!r}")
-        prev_time = _EARLIEST
+        prev_time = -LARGEST_FLOAT
         for row in reader:
             if not row:
                 continue
@@ -118,9 +117,10 @@ def iter_trace(inp: IO[str]) -> Iterator[PacketArrival]:
                 time = float(plain_number(time_s))
             except ValueError:
                 raise ValueError(f"bad time {time_s!r}") from None
-            if not prev_time <= time < math.inf:
+            if not prev_time <= time <= LARGEST_FLOAT:
+                finite = abs(time) <= LARGEST_FLOAT
                 raise ValueError(f"time {time_s} precedes previous row ({prev_time:.9f})"
-                                 if math.isfinite(time) else f"time {time_s!r} is not finite")
+                                 if finite else f"time {time_s!r} is not finite")
             prev_time = time
             acc = _parse_byte(acc_hex, "acc_hex")
             if crc_ok not in ("0", "1"):
@@ -165,10 +165,11 @@ def load_experiment_config(inp: IO[str]):
     if bad:
         raise ConfigError(f"unknown params keys: {', '.join(bad)}")
 
-    L = params_doc.get("L")  # ProtocolParams checks the rest of L: this is the trace's limit
-    if isinstance(L, int) and not isinstance(L, bool) and L > 256:
-        raise ConfigError(f"params.L {L} exceeds 256: a trace's acc_hex column holds one byte")
     try:
+        # the trace's limit, checked before a table of L intervals is built
+        L = check_count("params.L", params_doc.get("L", ProtocolParams.L), 2)
+        if L > 256:
+            raise ConfigError(f"params.L {L} exceeds 256: a trace's acc_hex column holds one byte")
         params = ProtocolParams(**params_doc)
         cfg = SimConfig(params=params, **{k: doc[k] for k in _TRACE_KEYS if k in doc})
         check_trace_fits(cfg)

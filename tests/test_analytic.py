@@ -61,7 +61,9 @@ class TestQ0:
                 q0(lam, duration)
 
     @pytest.mark.parametrize("lam, duration", [
-        (math.inf, 0.0), (1.0, math.inf), (True, 1.0), (1.0, False)])
+        (math.inf, 0.0), (1.0, math.inf), (True, 1.0), (1.0, False),
+        (10**400, 1.0), (1.0, 10**400)],
+        ids=["inf-0.0", "1.0-inf", "True-1.0", "1.0-False", "huge-1.0", "1.0-huge"])
     def test_rejects_infinite_or_boolean(self, lam, duration):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             q0(lam, duration)
@@ -171,7 +173,8 @@ class TestQM:
             with pytest.raises(ValueError, match="meter count"):
                 qM(0x40, 1, n, PARAMS)
 
-    @pytest.mark.parametrize("n", [math.inf, True, False])
+    @pytest.mark.parametrize("n", [math.inf, True, False, 10**400],
+                             ids=["inf", "True", "False", "huge"])
     def test_rejects_infinite_or_boolean_meter_count(self, n):
         # an infinite count gave nan when every window is empty, and True
         # the value at n=1

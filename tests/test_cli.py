@@ -12,6 +12,9 @@ from accpair.traceio import write_trace
 
 HEADER = "time_s,acc_hex,crc_ok,meter_id,true_acc_hex\n"
 
+#: an int that no float can hold: converting it raises OverflowError
+HUGE = 10**400
+
 
 def run(tmp_path, *argv):
     out = tmp_path / "out.csv"
@@ -61,6 +64,15 @@ class TestAnalytic:
         _, text = run(tmp_path, *argv)
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out == text
+
+    @pytest.mark.parametrize("out", [True, False], ids=["out", "stdout"])
+    def test_meter_count_too_large_for_a_float_writes_nothing(self, tmp_path, capsys, out):
+        argv = ["analytic", "--n-range", f"{HUGE}:{HUGE}"]
+        code = exit_code(tmp_path, argv) if out else main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, "")
+        assert "meter count must be finite" in captured.err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_large_range_is_not_materialized(self):
         assert len(_parse_n_range("1:1000000000000")) == 10**12
@@ -426,6 +438,16 @@ class TestGentrace:
         assert "Infinity" in cfg.read_text()
         code, text = run(tmp_path, "gentrace", "--config", str(cfg))
         assert (code, text) == (EXIT_PARSE, None)
+
+    @pytest.mark.parametrize("doc", [
+        {"horizon": HUGE}, {"emission_jitter": HUGE},
+        *({"params": {name: HUGE}} for name in ("t", "nu_a", "nu_b", "gamma_a", "gamma_b"))],
+        ids=lambda doc: next(iter(doc.get("params", doc))))
+    def test_number_too_large_for_a_float_is_parse_error(self, tmp_path, capsys, doc):
+        cfg = self.write_config(tmp_path, **{"n": 2, "horizon": 40.0, **doc})
+        code, text = run(tmp_path, "gentrace", "--config", str(cfg))
+        assert (code, text) == (EXIT_PARSE, None)
+        assert "must be finite" in capsys.readouterr().err
 
     def test_boolean_number_is_parse_error(self, tmp_path):
         params = {"t": True, "nu_a": False}

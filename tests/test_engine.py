@@ -84,12 +84,14 @@ class TestOnArrival:
         with pytest.raises(TraceOrderError):
             engine.on_arrival(pkt(9.0, 0x41))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 10**400, -10**400],
+                             ids=["nan", "inf", "huge", "minus-huge"])
     def test_non_finite_time_rejected(self, bad):
         engine = PairingEngine(PARAMS)
         engine.on_arrival(pkt(1.0, 0x40, erroneous=True))
         with pytest.raises(TraceOrderError, match="not finite"):
             engine.on_arrival(pkt(bad, 0x41))
+        assert engine.arrivals == 1
         with pytest.raises(TraceOrderError, match="precedes"):
             engine.on_arrival(pkt(0.5, 0x41))
 

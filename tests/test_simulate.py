@@ -77,6 +77,10 @@ class TestSimConfig:
             {"horizon": True},
             {"emission_jitter": False},
             {"body_error_prob": True},
+            {"horizon": 10**400},  # an int no float can hold, refused as inf is
+            {"emission_jitter": 10**400},
+            {"epsilon": None},  # only body_error_prob may be None
+            {"p": None},
         ],
     )
     def test_rejects_values_that_hang_or_crash_later(self, bad):

@@ -354,7 +354,8 @@ class TestLeavingAtOwnEnd:
         # whose windows have also ended
         store = make_store(timeout=2)
         store.create_slots(erroneous(0.0, 0x40), 1, ref=0)
-        ends = sorted(sum(slot_bounds(x, 2, 0.0, PARAMS)) for x in (0x40 ^ m for m in hamming_ball(1)))
+        ends = sorted(sum(slot_bounds(x, 2, 0.0, PARAMS))
+                      for x in (0x40 ^ m for m in hamming_ball(1, 256)))
         now = ends[4]
         gone = sum(end <= now for end in ends)
         assert 0 < gone < 9
@@ -450,7 +451,8 @@ class TestStoreContract:
         # the same time again still finds its hits
         assert store.slots_containing(starts[-1]) == hits
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400, -10**400],
+                             ids=["nan", "inf", "-inf", "huge", "minus-huge"])
     def test_time_that_is_not_finite_is_rejected(self, bad):
         store = make_store()
         store.create_slots(erroneous(0.0, 0x40), 1, 0)

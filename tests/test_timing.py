@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -10,8 +11,11 @@ from accpair.analytic import qM
 from accpair.engine import PairingEngine
 from accpair.simulate import SimConfig, generate_trace, replay
 from accpair.timing import (
+    LARGEST_FLOAT,
     ProtocolParams,
     _window,
+    check_count,
+    check_finite_nonnegative,
     hamming,
     hamming_ball,
     jitter_index,
@@ -22,6 +26,9 @@ from accpair.timing import (
 )
 
 PARAMS = ProtocolParams()
+
+#: an int that no float can hold: converting it raises OverflowError
+HUGE = 10**400
 
 accs = st.integers(min_value=0, max_value=255)
 
@@ -53,14 +60,19 @@ class TestProtocolParams:
 
     def test_rejects_negative_tolerance(self):
         for name in ("nu_a", "nu_b", "gamma_a", "gamma_b"):
-            for value in (-1e-6, math.inf, math.nan, True, False):
+            for value in (-1e-6, math.inf, math.nan, True, False, HUGE):
                 with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
                     ProtocolParams(**{name: value})
 
-    @pytest.mark.parametrize("t", [0.0, -1.0, math.inf, math.nan, True])
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.inf, math.nan, True, HUGE],
+                             ids=["0.0", "-1.0", "inf", "nan", "True", "huge"])
     def test_rejects_bad_mean_interval(self, t):
         with pytest.raises(ValueError, match="t must be finite and positive"):
             ProtocolParams(t=t)
+
+    def test_delta_map_entries_are_converted_to_floats(self):
+        params = ProtocolParams(L=2, t=1.0, delta_map=("0.5", -0.5))
+        assert params.delta_map == (0.5, -0.5)
 
     def test_rejects_biased_delta_map(self):
         with pytest.raises(ValueError, match="zero-mean"):
@@ -70,7 +82,7 @@ class TestProtocolParams:
         # intervals alternate 2.5 s and -0.5 s
         with pytest.raises(ValueError, match="nonpositive"):
             ProtocolParams(L=2, t=1.0, delta_map=(-1.5, 1.5))
-        for bad in (math.nan, math.inf, -math.inf):
+        for bad in (math.nan, math.inf, -math.inf, HUGE, -HUGE):
             with pytest.raises(ValueError, match="not finite"):
                 ProtocolParams(L=2, t=1.0, delta_map=(bad, 0.0))
 
@@ -145,18 +157,49 @@ def test_threshold_must_be_an_integer():
         with pytest.raises(ValueError, match="integer"):
             SimConfig(M=M)
         with pytest.raises(ValueError, match="integer"):
-            hamming_ball(M)
+            hamming_ball(M, 256)
 
 
 def test_warm_ball_cache_keeps_the_threshold_check():
     # True, 1.0 and a numpy 1 equal 1 and hash like it: they must not hit
     # the cached ball of 1
-    assert len(hamming_ball(1)) == len(hamming_ball(1, 256)) == 9
+    assert len(hamming_ball(1, 256)) == 9
     for M in (True, 1.0, np.int64(1)):
         with pytest.raises(ValueError, match="threshold M must be an integer"):
-            hamming_ball(M)
-        with pytest.raises(ValueError, match="threshold M must be an integer"):
             hamming_ball(M, 256)
+
+
+class TestNumberRules:
+    def test_largest_float_is_the_largest_finite_float(self):
+        assert LARGEST_FLOAT == -math.nextafter(-math.inf, 0.0)
+        assert math.isinf(math.nextafter(LARGEST_FLOAT, math.inf))
+
+    @pytest.mark.parametrize("value", [0, 0.0, 2.5, LARGEST_FLOAT, 10**300],
+                             ids=["0", "0.0", "2.5", "largest-float", "1e300-int"])
+    def test_finite_nonnegative_passes(self, value):
+        assert check_finite_nonnegative("x", value) is value
+
+    @pytest.mark.parametrize("value", [-1e-300, math.nan, math.inf, HUGE, -HUGE, True, False],
+                             ids=["negative", "nan", "inf", "huge", "minus-huge", "True", "False"])
+    def test_finite_nonnegative_refuses(self, value):
+        with pytest.raises(ValueError, match=r"^x must be finite and nonnegative, got "):
+            check_finite_nonnegative("x", value)
+
+    @pytest.mark.parametrize("value, least", [(0, 0), (1, 1), (HUGE, 1), (7, -3)],
+                             ids=["0", "1", "huge", "above-a-negative-least"])
+    def test_count_passes(self, value, least):
+        assert check_count("k", value, least) is value
+
+    @pytest.mark.parametrize("value", [True, False, 1.0, np.int64(1), "1", None, 0, -1])
+    def test_count_refuses(self, value):
+        message = f"k must be an integer >= 1, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_count("k", value, 1)
+
+    def test_count_is_at_least_zero_by_default(self):
+        assert check_count("k", 0) == 0
+        with pytest.raises(ValueError, match=r"^k must be an integer >= 0, got -1$"):
+            check_count("k", -1)
 
 
 class TestJitterIndex:

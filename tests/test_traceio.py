@@ -70,8 +70,10 @@ class TestWriteRefusesUnreadableRows:
         ([PacketArrival(-math.inf, 0x40, True)], "time -inf "),
         ([GOOD, PacketArrival(1.0, 0x40, True, meter_id="m" * (csv.field_size_limit() + 1))],
          "meter_id 'mmm"),
+        ([GOOD, PacketArrival(10**400, 0x40, True)], "time 1000"),
     ], ids=["L512-acc", "negative-acc", "true-acc", "nan-time", "inf-time", "out-of-order",
-            "carriage-return-id", "nul-id", "first-time-minus-inf", "id-over-field-limit"])
+            "carriage-return-id", "nul-id", "first-time-minus-inf", "id-over-field-limit",
+            "int-too-large-for-a-float"])
     def test_row_iter_trace_would_reject_raises(self, rows, message):
         buf = io.StringIO()
         with pytest.raises(ValueError, match=re.escape(f"row {len(rows)}: {message}")):
