@@ -5,16 +5,17 @@ interfering packet lands, with a compatible ACC, in one of the predicted
 step-1 windows before the genuine next packet arrives.  This module finds
 ``sigma_beta``, the time during which exactly ``beta`` ACC values would
 falsely pair, and evaluates the resulting closed form under Poisson
-interference of rate ``lambda = n / t``.  It groups the windows by overlap:
-a window that overlaps no other adds its width to the beta of its own ACC
-set, whose size is that of a Hamming ball, and only the edges of a group of
-overlapping windows are swept.
+interference of rate ``lambda = n / t``.  One pass over the windows, sorted
+by start, groups them by overlap: a window that overlaps no other adds its
+width to the beta of its own ACC set, whose size is that of a Hamming ball,
+and only the edges of a group of overlapping windows are swept.
 
 Caches keep the sweep cheap without changing a bit of its output: the
 step-1 window ``(tnom, theta, tau)`` of every base ACC, the engine's row
-from ``timing.window_row``; the set of ACC values a candidate window pairs
-with, held as an L-bit integer so that a union is an OR and its size a
-``bit_count()``; and, per threshold and params, the table of ``sum_beta
+from ``timing.window_row``; per threshold, the beta of a lone window for
+each mask of the Hamming ball; the set of ACC values a candidate window
+pairs with, held as an L-bit integer so that a union is an OR and its size
+a ``bit_count()``; and, per threshold and params, the table of ``sum_beta
 beta * sigma_beta`` over every base ACC that ``mean_qM`` reads.  All are
 ``lru_cache``s, none is kept on the params, and those keyed by params are
 bounded, so a sweep over many params does not grow without end.  Those
@@ -28,10 +29,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
-from .timing import ProtocolParams, check_count, check_finite_nonnegative, hamming_ball
-from .timing import nominal_interval, window_row
+from .timing import ProtocolParams, check_acc, check_count, check_finite_nonnegative
+from .timing import hamming_ball, window_row
 
 
 #: Largest meter count the sizing search tries before giving up.
@@ -63,6 +64,13 @@ def _ball_bits(v: int, r: int, L: int) -> int:
     return bits
 
 
+@lru_cache(maxsize=None, typed=True)
+def _lone_betas(M: int, L: int) -> Tuple[Tuple[int, int], ...]:
+    """``(mask, beta)`` for every mask of ``hamming_ball(M, L)``, in its order: the
+    beta of a window alone in its group, the size of the ball of its ACC set."""
+    return tuple((m, len(hamming_ball(M - m.bit_count(), L))) for m in hamming_ball(M, L))
+
+
 def sigma(y: int, M: int, params: ProtocolParams) -> Dict[int, float]:
     """Duration exposed to exactly ``beta`` false ACC values, per beta.
 
@@ -74,22 +82,20 @@ def sigma(y: int, M: int, params: ProtocolParams) -> Dict[int, float]:
     at 0 and the own window is exposed for its lead time.  The window pairs
     with the ACC values within ``M - H(y, c)`` bits of ``c + 1``.
 
-    The windows, sorted by start, fall into overlap groups: a window joins
-    the group while it starts strictly before the group's latest end.  A
-    window alone in its group adds its width to the beta of its own ACC
-    set, ``len(hamming_ball(M - H(y, c), L))``: XOR with ``c + 1`` maps the
-    ball onto that set one to one.  A group of several windows is swept
-    edge by edge, ends before starts at equal times; each segment counts
-    the union of the ACC sets of the windows open in it, the
-    ``bit_count()`` of the OR of their L-bit sets, so overlapping windows
-    are counted once.  Groups follow in time order, so every beta gets the
+    One pass over the windows, sorted by start, splits them into overlap
+    groups: a window joins the group while it starts strictly before the
+    group's latest end.  A window alone in its group adds its width to the
+    beta of its own ACC set, ``len(hamming_ball(M - H(y, c), L))``, read
+    from a per-threshold table (XOR with ``c + 1`` maps the ball onto that
+    set one to one).  A group of several windows is swept edge by edge
+    (``_sweep_group``).  Groups follow in time order, so every beta gets the
     same additions, in the same order, as one sweep over all edges.
     """
     L = params.L
-    origin = -nominal_interval(y, 1, params)  # checks y against L
     windows = window_row(params, 1)
-    spans = []  # (start, end, mask of the candidate)
-    for m in hamming_ball(M, L):
+    origin = -windows[check_acc(y, L)][0]  # -nominal_interval(y, 1, params), bit for bit
+    spans = []  # (start, end, mask of the candidate, beta if it is alone)
+    for m, beta in _lone_betas(M, L):
         tnom, theta, tau = windows[y ^ m]
         start = origin + tnom - theta  # slot_bounds' expression: the same bits
         if start < 0.0:  # else not before the genuine arrival
@@ -97,42 +103,48 @@ def sigma(y: int, M: int, params: ProtocolParams) -> Dict[int, float]:
             if end > 0.0:  # min(end, 0.0), without the call
                 end = 0.0
             if start < end:
-                spans.append((start, end, m))
-    spans.sort()
-    groups = []  # runs of spans that overlap in time
-    for span in spans:
-        if groups and span[0] < reach:
-            groups[-1].append(span)
-            if span[1] > reach:
-                reach = span[1]
-        else:
-            groups.append([span])
-            reach = span[1]
+                spans.append((start, end, m, beta))
+    spans.sort()  # masks are unique, so neither beta nor an equal start reorders
     out: Dict[int, float] = {}
-    for group in groups:
-        if len(group) == 1:
-            (start, end, m), = group
-            beta = len(hamming_ball(M - m.bit_count(), L))
-            out[beta] = out.get(beta, 0.0) + (end - start)
-            continue
-        edges = []  # (time, opens, mask of the candidate)
-        for start, end, m in group:
-            edges.append((start, True, m))
-            edges.append((end, False, m))
-        edges.sort()  # at equal times a window ends before another starts
-        active: Dict[int, int] = {}  # mask -> ACC bits of each open window
-        for (t0, opens, m), (t1, _, _) in zip(edges, edges[1:]):
-            if opens:
-                active[m] = _ball_bits(((y ^ m) + 1) % L, M - m.bit_count(), L)
-            else:
-                del active[m]
-            if active and t0 < t1:
-                union = 0
-                for bits in active.values():
-                    union |= bits
-                beta = union.bit_count()
-                out[beta] = out.get(beta, 0.0) + (t1 - t0)
+    i, n = 0, len(spans)
+    while i < n:
+        start, reach, _, beta = spans[i]
+        j = i + 1
+        while j < n and spans[j][0] < reach:  # reach: the group's latest end
+            if spans[j][1] > reach:
+                reach = spans[j][1]
+            j += 1
+        if j == i + 1:
+            out[beta] = out.get(beta, 0.0) + (reach - start)
+        else:
+            _sweep_group(spans[i:j], y, M, L, out)
+        i = j
     return out
+
+
+def _sweep_group(group: List[Tuple[float, float, int, int]], y: int, M: int, L: int,
+                 out: Dict[int, float]) -> None:
+    """Add one overlap group's segments to ``out``, edge by edge, ends before
+    starts at equal times.  Each segment counts the union of the ACC sets of
+    the windows open in it, the ``bit_count()`` of the OR of their L-bit sets,
+    so overlapping windows are counted once."""
+    edges = []  # (time, opens, mask of the candidate)
+    for start, end, m, _ in group:
+        edges.append((start, True, m))
+        edges.append((end, False, m))
+    edges.sort()  # at equal times a window ends before another starts
+    active: Dict[int, int] = {}  # mask -> ACC bits of each open window
+    for (t0, opens, m), (t1, _, _) in zip(edges, edges[1:]):
+        if opens:
+            active[m] = _ball_bits(((y ^ m) + 1) % L, M - m.bit_count(), L)
+        else:
+            del active[m]
+        if active and t0 < t1:
+            union = 0
+            for bits in active.values():
+                union |= bits
+            beta = union.bit_count()
+            out[beta] = out.get(beta, 0.0) + (t1 - t0)
 
 
 #: Tables of 16 params at every M of an L=256 counter fit in the caches

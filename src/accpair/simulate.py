@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple, Typ
 from .engine import ANALYSIS, DEPLOYMENT, PairingEngine
 from .slots import PacketArrival
 from .timing import ProtocolParams, check_count, check_finite_nonnegative, check_threshold
-from .timing import hamming_ball, nominal_interval, window_row
+from .timing import hamming_ball, nominal_interval, shown, window_row
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
@@ -98,15 +98,18 @@ def _trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def _refuse_beyond_memory(n: int, per_meter: float, what: str) -> None:
-    """Raise ``ValueError`` if ``n * per_meter`` items of ``ITEM_BYTES`` exceed physical memory."""
+def _refuse_beyond_memory(n: int, per_meter: float, what: str, unit: str = "meter",
+                          name: str = "n") -> None:
+    """Raise ``ValueError`` if ``n * per_meter`` items of ``ITEM_BYTES`` exceed physical
+    memory; ``n`` counts meters, or the ``unit`` its ``name`` counts."""
     try:
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # no sysconf, or not these names
         return
     if per_meter and n > memory / ITEM_BYTES / per_meter:  # exact for an int n of any size
-        raise ValueError(f"{what}: about {per_meter:.3g} per meter for n = {n} meters would "
-                         f"not fit in the {memory / 2**30:.3g} GiB of physical memory")
+        raise ValueError(f"{what}: about {per_meter * ITEM_BYTES:.3g} bytes per {unit} for "
+                         f"{name} = {shown(n)} {unit}s would not fit in the "
+                         f"{memory / 2**30:.3g} GiB of physical memory")
 
 
 def check_trace_fits(cfg: SimConfig) -> None:
@@ -130,7 +133,10 @@ def _map_trials(trial: Callable[[SimConfig, int], T], cfg: SimConfig,
     trials, or no ``os.fork``) the loop is serial and imports no ``multiprocessing``.
     A fork ``Pool`` would wait forever for a worker that dies, and a
     ``ProcessPoolExecutor`` loses its exit status and was slower to start.
+    A trial count whose results would not fit in physical memory is refused first.
     """
+    # each result holds at least its 8-byte slot in the list returned
+    _refuse_beyond_memory(cfg.trials, 8 / ITEM_BYTES, "trial results", "trial", "trials")
     workers = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         workers = max(1, min(len(os.sched_getaffinity(0)), cfg.trials // min_per_worker))

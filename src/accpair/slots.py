@@ -44,7 +44,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from .timing import LARGEST_FLOAT, ProtocolParams, check_acc, check_count, hamming_ball, window_row
+from .timing import LARGEST_FLOAT, ProtocolParams, check_acc, check_count, hamming_ball, shown
+from .timing import window_row
 # slot_bounds is not called here, but perfbench's tracer test reads it under this name
 from .timing import slot_bounds  # noqa: F401
 
@@ -205,7 +206,8 @@ class SlotStore:
         """
         if not self._now <= time <= LARGEST_FLOAT:
             raise TraceOrderError(f"time {time} precedes the previous query at {self._now}"
-                                  if abs(time) <= LARGEST_FLOAT else f"time {time} is not finite")
+                                  if abs(time) <= LARGEST_FLOAT
+                                  else f"time {shown(time)} is not finite")
         self._now = time
         hits: List[VirtualSlot] = []
         expired = 0

@@ -61,10 +61,10 @@ class ProtocolParams:
 
     def __post_init__(self) -> None:
         if type(self.L) is not int or self.L < 2 or self.L & (self.L - 1):  # bool is excluded
-            raise ValueError(f"L must be an integer power of two, got {self.L!r}")
+            raise ValueError(f"L must be an integer power of two, got {shown(self.L)}")
         # NaN fails this range check; a bool is not taken for a number
         if isinstance(self.t, bool) or not 0 < self.t <= LARGEST_FLOAT:
-            raise ValueError(f"t must be finite and positive, got {self.t}")
+            raise ValueError(f"t must be finite and positive, got {shown(self.t)}")
         for name in ("nu_a", "nu_b", "gamma_a", "gamma_b"):
             check_finite_nonnegative(name, getattr(self, name))
         if self.delta_map is not None:
@@ -108,11 +108,20 @@ class ProtocolParams:
         return self.delta_map[s]
 
 
+def shown(value: object) -> str:
+    """``repr(value)`` for a message, but an int too long for ``str()`` (more than 4,300
+    digits by default, when ``str()`` raises ``ValueError``) as its bit length."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+
+
 def check_finite_nonnegative(name: str, value: float) -> float:
     """Return ``value`` if it is a number in [0, LARGEST_FLOAT], not a bool, else raise
     ``ValueError``; it is compared, never converted, so a huge int is refused as inf is."""
     if isinstance(value, bool) or not 0 <= value <= LARGEST_FLOAT:
-        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+        raise ValueError(f"{name} must be finite and nonnegative, got {shown(value)}")
     return value
 
 
@@ -120,14 +129,14 @@ def check_count(name: str, value: int, least: int = 0) -> int:
     """Return ``value`` if it is an int >= ``least``, not a bool, else raise ``ValueError``;
     a float such as ``1.0`` or a numpy integer is not an int."""
     if not isinstance(value, int) or isinstance(value, bool) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        raise ValueError(f"{name} must be an integer >= {least}, got {shown(value)}")
     return value
 
 
 def check_acc(x: int, L: int) -> int:
     """Validate that ``x`` is a legal ACC value, an int in 0..L-1, and return it."""
     if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < L:
-        raise ValueError(f"ACC value {x!r} outside 0..{L - 1}")
+        raise ValueError(f"ACC value {shown(x)} outside 0..{L - 1}")
     return x
 
 
@@ -145,7 +154,7 @@ def check_threshold(M: int, L: int) -> int:
     """Validate a bit-error threshold: an int ``M`` in 0..log2(L).  Returns ``M``."""
     bits = L.bit_length() - 1
     if not isinstance(M, int) or isinstance(M, bool) or not 0 <= M <= bits:
-        raise ValueError(f"threshold M must be an integer in 0..{bits}, got {M!r}")
+        raise ValueError(f"threshold M must be an integer in 0..{bits}, got {shown(M)}")
     return M
 
 

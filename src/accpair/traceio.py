@@ -22,7 +22,7 @@ from typing import IO, Iterable, Iterator
 
 from .simulate import SimConfig, check_trace_fits
 from .slots import PacketArrival
-from .timing import LARGEST_FLOAT, ProtocolParams, check_count
+from .timing import LARGEST_FLOAT, ProtocolParams, check_count, shown
 
 TRACE_HEADER = ["time_s", "acc_hex", "crc_ok", "meter_id", "true_acc_hex"]
 
@@ -59,7 +59,7 @@ def write_trace(out: IO[str], trace: Iterable[PacketArrival]) -> int:
     count = 0
     for count, pkt in enumerate(trace, start=1):
         if not prev <= pkt.time <= LARGEST_FLOAT:  # iter_trace's test
-            raise ValueError(f"row {count}: time {pkt.time!r} is not finite or out of order")
+            raise ValueError(f"row {count}: time {shown(pkt.time)} is not finite or out of order")
         prev = pkt.time
         meter_id = pkt.meter_id or ""
         if "\r" in meter_id or "\0" in meter_id or len(meter_id) > limit:
@@ -68,7 +68,7 @@ def write_trace(out: IO[str], trace: Iterable[PacketArrival]) -> int:
             acc = _BYTE_HEX[pkt.acc]
             true_acc = "" if pkt.true_acc is None else _BYTE_HEX[pkt.true_acc]
         except KeyError as exc:
-            raise ValueError(f"row {count}: ACC {exc.args[0]!r} is outside 0..255") from None
+            raise ValueError(f"row {count}: ACC {shown(exc.args[0])} is outside 0..255") from None
         writer.writerow((f"{pkt.time:.9f}", acc, "0" if pkt.erroneous else "1", meter_id,
                          true_acc))
     return count

@@ -538,6 +538,31 @@ def test_sigma_of_touching_and_coinciding_windows(y, by_M):
         assert list(edge_swept_sigma(y, M, TOUCHING).items()) == list(expected.items()), M
 
 
+#: TOUCHING's map with windows 0.375 s wide: from base 0 at M=1, ACC 2's
+#: window A = [-0.6875, -0.3125) pairs with {3}, ACC 1's B = [-0.4375,
+#: -0.0625) with {2}, and the own C = [-0.1875, 0) with {0, 1, 3}.  A and
+#: C do not overlap, yet B joins them into one group, so the group's reach
+#: must pass from A's end to B's before C is seen.
+CHAINED = ProtocolParams(L=4, t=1.0, nu_a=0.0, nu_b=0.0, gamma_a=0.1875, gamma_b=0.1875,
+                         delta_map=(-0.25, 0.0, 0.25))
+
+
+def test_sigma_of_a_chained_overlap_group():
+    by_M = [
+        {1: 0.1875},  # C alone
+        # A 0.25 s alone, A+B 0.125 s, B 0.125 s alone, B+C 0.125 s, C 0.0625 s alone
+        {1: 0.375, 2: 0.125, 4: 0.125, 3: 0.0625},
+        # ACC 3's window coincides with B: 3 values while A or B is alone, 4 elsewhere
+        {3: 0.375, 4: 0.3125},
+    ]
+    base = -nominal_interval(0, 1, CHAINED)  # the genuine next packet at time 0
+    (a, a_width), (b, b_width), (c, _) = (slot_bounds(x, 1, base, CHAINED) for x in (2, 1, 0))
+    assert b < a + a_width <= c < b + b_width  # A ends before C starts; B overlaps both
+    for M, expected in enumerate(by_M):
+        assert list(sigma(0, M, CHAINED).items()) == list(expected.items()), M
+        assert list(edge_swept_sigma(0, M, CHAINED).items()) == list(expected.items()), M
+
+
 def test_probe_counts_a_window_one_subnormal_wide():
     # the own window is [-5e-324, 0): its midpoint rounds onto the excluded 0.0
     params = ProtocolParams(L=4, t=1.0, nu_a=0.0, nu_b=0.0, gamma_a=5e-324, gamma_b=0.0)

@@ -1,11 +1,16 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import accpair
 from accpair.cli import EXIT_INTERNAL, EXIT_OK, EXIT_PARSE, EXIT_USAGE, _parse_n_range, main
 from accpair.simulate import SimConfig, generate_trace
 from accpair.traceio import write_trace
@@ -312,6 +317,22 @@ def test_work_beyond_physical_memory_is_refused_at_once(tmp_path, capsys, argv, 
     assert (got, text) == (code, None)
     assert re.search(f"{message}: .* would not fit in the .* GiB of physical memory",
                      capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--kind", "fd", "--n", "10"],
+    ["simulate", "--kind", "memory", "--n", "2", "--horizon", "100"],
+], ids=["fd", "memory"])
+def test_trial_count_beyond_physical_memory_exits_2(argv):
+    # one result per trial is kept, so 10**400 trials could never be summarised;
+    # a subprocess, so that a run that is not refused is killed by the timeout
+    paths = [str(Path(accpair.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run([sys.executable, "-m", "accpair.cli", *argv, "--trials", str(HUGE)],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert (done.returncode, done.stdout) == (EXIT_USAGE, "")
+    assert re.match(r"error: trial results: .* would not fit in the .* GiB of physical memory",
+                    done.stderr)
 
 
 BAD_INTEGERS = ["\u0663", "1_0", " 5"]

@@ -95,6 +95,15 @@ class TestOnArrival:
         with pytest.raises(TraceOrderError, match="precedes"):
             engine.on_arrival(pkt(0.5, 0x41))
 
+    @pytest.mark.parametrize("bad", [10**5000, -10**5000], ids=["huge", "minus-huge"])
+    def test_time_too_long_for_str_is_a_trace_order_error(self, bad):
+        # the message gives the bit length: str() of the int would raise a bare ValueError
+        engine = PairingEngine(PARAMS)
+        with pytest.raises(TraceOrderError, match="^time (an|a negative) int of 16610 bits is "
+                                                  "not finite$"):
+            engine.on_arrival(pkt(bad, 0x40, erroneous=True))
+        assert engine.arrivals == 0
+
     def test_minimum_distance_wins(self):
         # two bases predict the same arrival; the exact-ACC one must win
         engine = PairingEngine(PARAMS, M=1)

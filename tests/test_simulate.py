@@ -103,6 +103,15 @@ def test_work_beyond_physical_memory_is_refused_before_any_fork(monkeypatch, run
         run(cfg)
 
 
+def test_trial_count_beyond_physical_memory_is_refused_before_any_trial():
+    def trial(cfg, i):
+        raise AssertionError("a trial ran")
+
+    message = "^trial results: about 8 bytes per trial for trials = 1000"
+    with pytest.raises(ValueError, match=message):
+        simulate._map_trials(trial, SimConfig(trials=10**400), simulate.MIN_TRIALS_PER_WORKER)
+
+
 class TestTransmissionTimes:
     def test_interval_law(self):
         # without erasures, bit errors or jitter each row is the one before

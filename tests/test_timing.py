@@ -196,6 +196,16 @@ class TestNumberRules:
         with pytest.raises(ValueError, match=re.escape(message)):
             check_count("k", value, 1)
 
+    @pytest.mark.parametrize("check, value, message", [
+        (check_count, -10**5000, "n must be an integer >= 0, got a negative int of 16610 bits"),
+        (check_finite_nonnegative, 10**5000, "n must be finite and nonnegative, got an int of "
+                                             "16610 bits"),
+    ], ids=["count", "finite-nonnegative"])
+    def test_an_int_too_long_for_str_is_named_by_its_bit_length(self, check, value, message):
+        # str() of an int of more than 4,300 digits raises its own ValueError
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check("n", value)
+
     def test_count_is_at_least_zero_by_default(self):
         assert check_count("k", 0) == 0
         with pytest.raises(ValueError, match=r"^k must be an integer >= 0, got -1$"):
