@@ -36,7 +36,7 @@ if TYPE_CHECKING:
 BODY_BITS = 232
 
 #: Fewest fd trials worth a forked worker.  Starting and joining one costs
-#: about 3 ms with numpy loaded, some 40 fd trials of 70 us, so 256 trials keep
+#: about 3 ms with numpy loaded, some 45 fd trials of 66 us, so 256 trials keep
 #: it to about 15% of a worker's time.  A memory trial replays a whole trace,
 #: some 13 ms at n = 20, so one of them is worth a worker.
 MIN_TRIALS_PER_WORKER = 256
@@ -48,6 +48,13 @@ ITEM_BYTES = 100
 #: Most doubles ``generate_trace`` takes from the generator at once, so that
 #: one long-lived meter never holds many times its own rows in buffered floats.
 DRAW_BLOCK = 4096
+
+#: Fewest interferer ACCs a false-detection window draws with one sized
+#: ``rng.integers(0, L, k)`` call; fewer come from k scalar ``rng.integers(L)``
+#: calls, which read the same buffered words and leave the same state.  A
+#: sized call costs about 5.3 us at k = 1 or 2, two thirds of it in the
+#: ``np.prod(size)`` it makes first, and a scalar one 1.5 us.
+SIZED_ACC_DRAW = 4
 
 T = TypeVar("T")
 
@@ -314,8 +321,10 @@ def _false_detection_trial(cfg: SimConfig, base_true_acc: int, rng: np.random.Ge
     Poisson count per merged window, in time order; then, per window with
     k > 0 arrivals, k uniform offsets and then k ACCs; then the genuine
     packet's erasure (when p > 0) and, unless it is erased, its jitter and
-    bit errors.  The k draws are sized, so an absurd k fails at once with
-    ``MemoryError`` instead of looping in Python.
+    bit errors.  The k offsets are one sized draw, so an absurd k fails at
+    once with ``MemoryError``, before any ACC is drawn, instead of looping in
+    Python.  Fewer than ``SIZED_ACC_DRAW`` ACCs come from k scalar
+    ``integers`` calls, which read the same words as one sized call.
     """
     params = cfg.params
     lam = cfg.n / params.t
@@ -335,7 +344,10 @@ def _false_detection_trial(cfg: SimConfig, base_true_acc: int, rng: np.random.Ge
         for (a, b), k in zip(segments, counts):
             if k:
                 times = rng.random(k).tolist()
-                accs = rng.integers(0, params.L, k).tolist()
+                if k < SIZED_ACC_DRAW:
+                    accs = [int(rng.integers(params.L)) for _ in range(k)]
+                else:
+                    accs = rng.integers(0, params.L, k).tolist()
                 events.extend((a + u * (b - a), acc, False) for u, acc in zip(times, accs))
         if cfg.p == 0 or rng.random() >= cfg.p:
             t_true = nominal_interval(base_true_acc, step, params)

@@ -7,6 +7,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import accpair
@@ -14,6 +15,7 @@ from accpair import simulate
 from accpair.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from accpair.engine import DEPLOYMENT, PairingEngine
 from accpair.simulate import (
+    SIZED_ACC_DRAW,
     SimConfig,
     _false_detection_trial,
     _fd_trial,
@@ -277,6 +279,37 @@ def test_false_detection_draws_match_recorded_digest():
     assert digest.hexdigest() == "42a4bde957d1e23571543da02bcc8d092536a9e502ef7ef31f7cc13c5e691d49"
 
 
+class CountingGenerator:
+    """Forwards every call to ``rng`` and counts its sized and scalar ``integers`` calls."""
+
+    def __init__(self, rng):
+        self.rng, self.sized, self.scalar = rng, 0, 0
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def integers(self, *args):
+        if len(args) > 2:
+            self.sized += 1
+        else:
+            self.scalar += 1
+        return self.rng.integers(*args)
+
+
+def test_draws_digest_covers_both_acc_draws():
+    # the draws digest's n=20000, M=1 setting has windows with fewer than
+    # SIZED_ACC_DRAW arrivals and windows with more, so it pins both ways
+    # the trial draws interferer ACCs
+    cfg = SimConfig(n=20000, M=1, epsilon=1 / 32, rng_seed=7)
+    counted = CountingGenerator(None)
+    for i in range(200):
+        counted.rng, raw = _trial_rng(cfg.rng_seed, i), _trial_rng(cfg.rng_seed, i)
+        outcome = _false_detection_trial(cfg, i % cfg.params.L, counted)
+        assert outcome == _false_detection_trial(cfg, i % cfg.params.L, raw), i
+        assert counted.rng.bit_generator.state == raw.bit_generator.state, i
+    assert counted.sized and counted.scalar, (counted.sized, counted.scalar)
+
+
 #: trace settings whose rows the recorded digest pins: erasures, jitter, a
 #: fixed body-error probability, every ACC bit flipped, a 16-value counter,
 #: and single meters whose draws span several of generate_trace's blocks
@@ -341,6 +374,22 @@ def test_blocks_draw_what_scalar_calls_draw():
         blocks, scalar = _trial_rng(cfg.rng_seed, 0), _trial_rng(cfg.rng_seed, 0)
         assert generate_trace(cfg, blocks) == scalar_trace(cfg, scalar), cfg
         assert blocks.bit_generator.state == scalar.bit_generator.state, cfg
+
+
+@pytest.mark.parametrize("L", (2, 16, 256, 4096))
+def test_scalar_integers_draw_what_one_sized_call_draws(L):
+    # numpy buffers the upper half of a uint32 word between bounded-int
+    # calls; the fd trial's few-ACC windows rely on k scalar calls reading
+    # the same words as one sized call of k, across a random() in between
+    assert SIZED_ACC_DRAW <= 8  # every k the trial draws by scalar calls is covered
+    scalar, sized = np.random.default_rng(L), np.random.default_rng(L)
+    scalar.random()
+    sized.random()
+    for k in range(9):
+        assert [int(scalar.integers(L)) for _ in range(k)] == sized.integers(0, L, k).tolist(), k
+        assert scalar.bit_generator.state == sized.bit_generator.state, k
+        scalar.random()
+        sized.random()
 
 
 class TestSimulateMemory:
