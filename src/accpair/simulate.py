@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple, TypeVar
 
 from .engine import ANALYSIS, DEPLOYMENT, PairingEngine
@@ -42,11 +41,11 @@ BODY_BITS = 232
 MIN_TRIALS_PER_WORKER = 256
 
 #: Fewest bytes a generated trace row or a false-detection interferer holds
-#: while it is built; 150-220 and 110-150 bytes were measured.
+#: while it is built; 220-315 and 110-150 bytes were measured.
 ITEM_BYTES = 100
 
-#: Most doubles ``generate_trace`` takes from the generator at once, so that
-#: one long-lived meter never holds many times its own rows in buffered floats.
+#: Doubles ``generate_trace`` holds before a numpy pass makes their packets
+#: rows, at the end of a meter, and most doubles one erasure-walk block draws.
 DRAW_BLOCK = 4096
 
 #: Fewest interferer ACCs a false-detection window draws with one sized
@@ -202,21 +201,6 @@ def _flip_mask(rng: np.random.Generator, epsilon: float, L: int) -> int:
 # trace generation and replay
 
 
-def _draw_block(rng: np.random.Generator, carry: np.ndarray, need: int, owed: int,
-                epsilon: float) -> Tuple[np.ndarray, List[float], List[int], int]:
-    """``carry`` then new doubles from ``rng``, at least ``need`` in all, and as
-    many of the ``owed`` sure draws as ``DRAW_BLOCK`` allows.  Returns them as an
-    array and as floats, the indices of those below ``epsilon`` followed by the
-    count, and the draws still owed."""
-    import numpy as np
-
-    fetch = max(need - len(carry), min(DRAW_BLOCK, owed))
-    block = np.concatenate((carry, rng.random(fetch))) if len(carry) else rng.random(fetch)
-    below = np.flatnonzero(block < epsilon).tolist()
-    below.append(len(block))
-    return block, block.tolist(), below, owed - fetch
-
-
 def generate_trace(cfg: SimConfig, rng: Optional[np.random.Generator] = None) -> List[PacketArrival]:
     """Synthesize a ground-truth trace of ``cfg.n`` meters.
 
@@ -230,63 +214,78 @@ def generate_trace(cfg: SimConfig, rng: Optional[np.random.Generator] = None) ->
     phase (``rng.uniform(0, t)``), then per scheduled packet an erasure
     double when ``p > 0`` and, unless it is erased, a jitter double when
     ``emission_jitter > 0``, one double per ACC bit when ``epsilon > 0`` and
-    a body-error double when its probability is positive.  The per-packet
-    doubles come from ``rng.random`` blocks of at most ``DRAW_BLOCK``, and a
-    block takes exactly the draws the meter is sure to make from there, so
-    the generator yields and ends in the same state as one scalar call per
-    double would leave it.
+    a body-error double when its probability is positive.  Without erasures
+    a meter's doubles are one ``rng.random`` call; with them, blocks of at
+    most ``DRAW_BLOCK`` that take exactly the draws the meter is sure to
+    make.  So the generator ends as one scalar call per double would leave
+    it.  Kept packets become rows in one numpy pass per ``DRAW_BLOCK``
+    doubles or so, sorted once by time, then meter id as a string.
     """
     check_trace_fits(cfg)
     import numpy as np
 
-    if rng is None:
-        rng = _trial_rng(cfg.rng_seed, 0)
-    params = cfg.params
-    p, eps = cfg.p, cfg.epsilon
-    jit_lo, jit_range = -cfg.emission_jitter, 2 * cfg.emission_jitter  # as rng.uniform has them
+    rng = _trial_rng(cfg.rng_seed, 0) if rng is None else rng
+    params, p, eps, jit = cfg.params, cfg.p, cfg.epsilon, cfg.emission_jitter
     body_p = cfg.effective_body_error_prob
-    bits = params.L.bit_length() - 1 if eps > 0 else 0
-    has_jit, has_body = jit_range > 0, body_p > 0
-    rest = has_jit + bits + has_body  # doubles of a packet after its erasure double
-    arrivals: List[PacketArrival] = []
+    bits, has_jit = (params.L.bit_length() - 1 if eps > 0 else 0), int(jit > 0)
+    rest = has_jit + bits + (body_p > 0)  # doubles of a packet after its erasure double
+    ids = [f"m{m:03d}" for m in range(cfg.n)]
+    # per kept packet: scheduled time, ACC, meter, and its rest doubles
+    times, accs, meters, drawn, columns = [], [], [], [], []
+
+    def rows():  # the kept packets' time, observed ACC, erroneous flag, true ACC, meter
+        time, acc = np.array(times, dtype=float), np.array(accs, dtype=np.int64)
+        mask, erroneous = np.zeros_like(acc), np.zeros(len(acc), dtype=bool)
+        if times:
+            u = np.concatenate(drawn).reshape(len(times), rest)
+            if has_jit:  # rng.uniform(-jit, jit)'s operations, then the addition
+                time = time + (-jit + 2 * jit * u[:, 0])
+            if bits:  # a bit flips where its double is below epsilon
+                mask = (u[:, has_jit:has_jit + bits] < eps) @ (1 << np.arange(bits))
+            if body_p > 0:
+                erroneous = u[:, -1] < body_p
+        return time, acc ^ mask, erroneous | (mask != 0), acc, np.array(meters, dtype=np.int64)
+
     for m in range(cfg.n):
-        meter = f"m{m:03d}"
         acc = int(rng.integers(params.L))
         scheduled = float(rng.uniform(0.0, params.t))
-        schedule = []
+        first = len(times)
         while scheduled <= cfg.horizon:
-            schedule.append((scheduled, acc))
+            times.append(scheduled)
+            accs.append(acc)
             scheduled += params.intervals[acc]
             acc = (acc + 1) % params.L
-        owed = len(schedule) * (1 if p > 0 else rest)  # sure draws not yet fetched
-        block, u, below, i, h = np.empty(0), [], [0], 0, 0
-        for time, acc in schedule:
-            if p > 0:
+        if p == 0:
+            drawn.append(rng.random((len(times) - first) * rest))
+        else:  # walk the erasure doubles
+            owed, u, i, kept, mine = len(times) - first, [], 0, [], []  # sure draws not fetched
+            for k in range(first, len(times)):
                 if i == len(u):
-                    block, u, below, owed = _draw_block(rng, block[i:], 1, owed, eps)
-                    i = h = 0
+                    u, i = rng.random(min(DRAW_BLOCK, owed)).tolist(), 0
+                    owed -= len(u)
                 i += 1
-                if u[i - 1] < p:  # erased
-                    continue
-                owed += rest
-            if i + rest > len(u):
-                block, u, below, owed = _draw_block(rng, block[i:], rest, owed, eps)
-                i = h = 0
-            if has_jit:
-                time += jit_lo + jit_range * u[i]
-                i += 1
-            mask = 0  # a bit flips where its double is below eps
-            while below[h] < i:
-                h += 1
-            while below[h] < i + bits:
-                mask |= 1 << (below[h] - i)
-                h += 1
-            i += bits
-            body_error = has_body and u[i] < body_p
-            i += has_body
-            arrivals.append(PacketArrival(time, acc ^ mask, mask != 0 or body_error, meter, acc))
-    arrivals.sort(key=attrgetter("time", "meter_id"))
-    return arrivals
+                if u[i - 1] >= p:  # not erased
+                    owed += rest
+                    if i + rest > len(u):
+                        fetch = max(i + rest - len(u), min(DRAW_BLOCK, owed))
+                        u, i = u[i:] + rng.random(fetch).tolist(), 0
+                        owed -= fetch
+                    kept.append(k)
+                    mine += u[i:i + rest]
+                    i += rest
+            times[first:], accs[first:] = [times[k] for k in kept], [accs[k] for k in kept]
+            drawn.append(mine)
+        meters += [m] * (len(times) - first)
+        if len(times) * rest >= DRAW_BLOCK:
+            columns.append(rows())
+            times, accs, meters, drawn = [], [], [], []
+    time, observed, erroneous, true_acc, meter = map(np.concatenate, zip(*columns, rows()))
+    times = accs = meters = drawn = columns = None  # freed before the rows are built
+    rank = np.argsort(np.argsort(ids))  # each meter's place in string order: m1000 < m999
+    order = np.lexsort((rank[meter], time))
+    return list(map(PacketArrival, time[order].tolist(), observed[order].tolist(),
+                    erroneous[order].tolist(), map(ids.__getitem__, meter[order].tolist()),
+                    true_acc[order].tolist()))
 
 
 def replay(trace: Iterable[PacketArrival], engine: PairingEngine) -> None:

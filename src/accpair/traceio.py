@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import fields as dataclass_fields
+from types import SimpleNamespace
 from typing import IO, Iterable, Iterator
 
 from .simulate import SimConfig, check_trace_fits
@@ -50,27 +51,36 @@ def write_trace(out: IO[str], trace: Iterable[PacketArrival]) -> int:
     0..255, a time not finite or before the previous row's, or a ``meter_id``
     over ``csv.field_size_limit()`` long or holding a carriage return, which
     ends an unquoted record, or NUL, which Python 3.10's reader refuses.  The
-    rows before it may already be written.
+    rows before it are written.  Each distinct ``meter_id`` is checked, and
+    quoted by ``csv.writer``, once; each row is one formatted line.
     """
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(TRACE_HEADER)
-    limit = csv.field_size_limit()
-    prev = -LARGEST_FLOAT  # the least finite float, so -inf is refused too
-    count = 0
-    for count, pkt in enumerate(trace, start=1):
-        if not prev <= pkt.time <= LARGEST_FLOAT:  # iter_trace's test
-            raise ValueError(f"row {count}: time {shown(pkt.time)} is not finite or out of order")
-        prev = pkt.time
-        meter_id = pkt.meter_id or ""
-        if "\r" in meter_id or "\0" in meter_id or len(meter_id) > limit:
-            raise ValueError(f"row {count}: meter_id {meter_id[:40]!r} would not read back")
-        try:
-            acc = _BYTE_HEX[pkt.acc]
-            true_acc = "" if pkt.true_acc is None else _BYTE_HEX[pkt.true_acc]
-        except KeyError as exc:
-            raise ValueError(f"row {count}: ACC {shown(exc.args[0])} is outside 0..255") from None
-        writer.writerow((f"{pkt.time:.9f}", acc, "0" if pkt.erroneous else "1", meter_id,
-                         true_acc))
+    fields, encoded, lines = {None: ""}, [], [",".join(TRACE_HEADER) + "\n"]
+    encoder = csv.writer(SimpleNamespace(write=encoded.append), lineterminator="\n")
+    prev, count, limit = -LARGEST_FLOAT, 0, csv.field_size_limit()  # so -inf is refused too
+    try:
+        for count, pkt in enumerate(trace, start=1):
+            if not prev <= pkt.time <= LARGEST_FLOAT:  # iter_trace's test
+                raise ValueError(f"row {count}: time {shown(pkt.time)} is not finite or "
+                                 "out of order")
+            prev = pkt.time
+            if (meter := fields.get(pkt.meter_id)) is None:
+                meter_id = pkt.meter_id
+                if "\r" in meter_id or "\0" in meter_id or len(meter_id) > limit:
+                    raise ValueError(f"row {count}: meter_id {meter_id[:40]!r} would not read back")
+                encoder.writerow((meter_id, ""))  # the field, then ",\n"
+                meter = fields[meter_id] = encoded.pop()[:-2]
+            try:
+                acc = _BYTE_HEX[pkt.acc]
+                true_acc = "" if pkt.true_acc is None else _BYTE_HEX[pkt.true_acc]
+            except KeyError as exc:
+                raise ValueError(f"row {count}: ACC {shown(exc.args[0])} is outside "
+                                 "0..255") from None
+            lines.append(f"{pkt.time:.9f},{acc},{'01'[not pkt.erroneous]},{meter},{true_acc}\n")
+            if len(lines) == 256:  # 4,096 lines raised peak RSS by 0.3-0.6 MB
+                chunk, lines = "".join(lines), []
+                out.write(chunk)
+    finally:  # the lines before a refused row, or the last ones
+        out.write("".join(lines))
     return count
 
 

@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 LEDGER_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_ledger.py"
 spec = importlib.util.spec_from_file_location("bench_ledger", LEDGER_PATH)
 bench_ledger = importlib.util.module_from_spec(spec)
@@ -56,3 +58,49 @@ def test_table_has_one_row_per_workload():
         "| b | 10 → 12 (1.200, 1/1) | 5 → 5 (1.000, 0/1) |",
     ]
 
+
+class GitRan(Exception):
+    """Raised by the stand-in for ``resolve``: the arguments were accepted."""
+
+
+def refuse_git(monkeypatch):
+    def resolve(rev):
+        raise GitRan(rev)
+    monkeypatch.setattr(bench_ledger, "resolve", resolve)
+
+
+@pytest.mark.parametrize("claim", ["gentrace-noisy", "gentrace-noisy:", ":calibrated_items_per_s",
+                                   "nope:calibrated_items_per_s", "gentrace-noisy:nope",
+                                   "gentrace-noisy:calibrated_items_per_s:x", ""])
+def test_a_claim_not_naming_a_workload_and_metric_exits_2_before_git(monkeypatch, tmp_path,
+                                                                      capsys, claim):
+    refuse_git(monkeypatch)
+    with pytest.raises(SystemExit) as exit_info:
+        bench_ledger.main(["--out", str(tmp_path / "b.json"), "--claim", claim])
+    assert exit_info.value.code == 2
+    assert "--claim" in capsys.readouterr().err
+
+
+def test_a_claim_of_a_workload_and_metric_is_accepted(monkeypatch, tmp_path):
+    refuse_git(monkeypatch)
+    with pytest.raises(GitRan):
+        bench_ledger.main(["--out", str(tmp_path / "b.json"),
+                           "--claim", "gentrace-noisy:calibrated_items_per_s"])
+
+
+def test_a_missing_workdir_is_made_before_git(monkeypatch, tmp_path):
+    refuse_git(monkeypatch)
+    workdir = tmp_path / "not" / "yet"
+    with pytest.raises(GitRan):
+        bench_ledger.main(["--out", str(tmp_path / "b.json"), "--workdir", str(workdir)])
+    assert workdir.is_dir()
+
+
+def test_a_workdir_that_is_a_file_exits_2_before_git(monkeypatch, tmp_path, capsys):
+    refuse_git(monkeypatch)
+    afile = tmp_path / "file"
+    afile.write_text("")
+    with pytest.raises(SystemExit) as exit_info:
+        bench_ledger.main(["--out", str(tmp_path / "b.json"), "--workdir", str(afile)])
+    assert exit_info.value.code == 2
+    assert "--workdir" in capsys.readouterr().err

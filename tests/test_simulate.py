@@ -376,6 +376,40 @@ def test_blocks_draw_what_scalar_calls_draw():
         assert blocks.bit_generator.state == scalar.bit_generator.state, cfg
 
 
+class ConstantGenerator:
+    """Returns one constant per kind of draw and records every draw, a sized
+    ``random`` call as that many scalar ones."""
+
+    def __init__(self):
+        self.draws = []
+
+    def integers(self, *args):
+        self.draws.append(("integers", args))
+        return 5
+
+    def uniform(self, *args):
+        self.draws.append(("uniform", args))
+        return 1.5
+
+    def random(self, size=None):
+        self.draws += [("random", ())] * (1 if size is None else size)
+        return 0.25 if size is None else np.full(size, 0.25)
+
+
+@pytest.mark.parametrize("p", (0.0, 0.1))
+def test_time_ties_sort_by_meter_id_as_a_string(p):
+    # every meter has the same schedule, so every time ties across all 1,001
+    # meters and only the meter_id orders them: m1000 sorts before m999
+    cfg = SimConfig(n=1001, epsilon=0.5, p=p, horizon=40.0)
+    blocks, scalar = ConstantGenerator(), ConstantGenerator()
+    trace = generate_trace(cfg, blocks)
+    assert trace == scalar_trace(cfg, scalar)
+    assert blocks.draws == scalar.draws
+    first = [a.meter_id for a in trace[:cfg.n]]
+    assert {a.time for a in trace[:cfg.n]} == {1.5}
+    assert first == sorted(first) and first.index("m1000") < first.index("m999")
+
+
 @pytest.mark.parametrize("L", (2, 16, 256, 4096))
 def test_scalar_integers_draw_what_one_sized_call_draws(L):
     # numpy buffers the upper half of a uint32 word between bounded-int

@@ -2,11 +2,12 @@ import csv
 import io
 import json
 import math
+import random
 import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from accpair.simulate import SimConfig, generate_trace
@@ -115,6 +116,50 @@ class TestWriteRefusesUnreadableRows:
         assert max(a.acc for a in trace) > 0xff
         with pytest.raises(ValueError, match="outside 0..255"):
             write_trace(io.StringIO(), trace)
+
+
+#: meter ids that csv.writer quotes, or keeps as they are, and None
+WRITTEN_IDS = [None, "m001", "a,b", 'say "hi"', '"', "line\nfeed", " lead", "trail ", "zähler-ü",
+               "電表", " , "]
+
+
+def csv_writer_bytes(trace):
+    """The header and one ``csv.writer`` row per arrival, as UTF-8."""
+    ref = io.StringIO()
+    writer = csv.writer(ref, lineterminator="\n")
+    writer.writerow(HEADER[:-1].split(","))
+    for a in trace:
+        writer.writerow((f"{a.time:.9f}", f"{a.acc:02x}", "0" if a.erroneous else "1",
+                         a.meter_id or "", "" if a.true_acc is None else f"{a.true_acc:02x}"))
+    return ref.getvalue().encode()
+
+
+class TestWrittenBytes:
+    @given(st.lists(st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\r\0"),
+                            min_size=1, max_size=6), max_size=4),
+           st.integers(0, 1100), st.randoms(use_true_random=False))
+    @example([], 1000, random.Random(0))  # runs past several 256-line chunks
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_are_a_csv_writer_row_per_arrival(self, more_ids, rows, rnd):
+        ids, time, trace = WRITTEN_IDS + more_ids, -2.0, []
+        for _ in range(rows):
+            time += rnd.choice((0.0, 0.5, rnd.random()))
+            meter_id = rnd.choice(ids)
+            true_acc = None if meter_id is None else rnd.choice((None, rnd.randrange(256)))
+            trace.append(PacketArrival(time, rnd.randrange(256), rnd.random() < 0.5, meter_id,
+                                       true_acc))
+        buf = io.StringIO()
+        assert write_trace(buf, trace) == rows
+        assert buf.getvalue().encode() == csv_writer_bytes(trace)
+
+    def test_a_refused_row_after_many_chunks_leaves_exactly_the_rows_before_it(self):
+        good = [PacketArrival(i / 8, i % 256, i % 3 == 0, WRITTEN_IDS[i % len(WRITTEN_IDS)],
+                              None if i % len(WRITTEN_IDS) == 0 else i % 256) for i in range(1000)]
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=re.escape("row 1001: ACC 256 ")):
+            write_trace(buf, good + [PacketArrival(200.0, 256, False)])
+        assert buf.getvalue().encode() == csv_writer_bytes(good)
+        assert parse(buf.getvalue()) == good
 
 
 class TestTraceStreaming:

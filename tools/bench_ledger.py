@@ -157,6 +157,25 @@ def table(ledger: dict, metrics: Sequence[dict]) -> str:
     return "\n".join(rows)
 
 
+def check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Exit with a usage error (status 2) before any git command or run if
+    ``--claim`` is not ``WORKLOAD:METRIC`` of ``BENCHMARK.json``'s workloads
+    and end-to-end metrics, or ``--workdir`` is not a directory and cannot
+    be made one."""
+    if args.claim is not None:
+        bench = json.loads((REPO / "BENCHMARK.json").read_text())
+        workload, _, metric = args.claim.partition(":")
+        if (workload not in {w["name"] for w in bench["workloads"]}
+                or metric not in {m["name"] for m in bench["end_to_end"]}):
+            parser.error(f"--claim {args.claim!r} is not WORKLOAD:METRIC, a workload and an "
+                         "end-to-end metric of BENCHMARK.json")
+    if args.workdir is not None:
+        try:
+            Path(args.workdir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            parser.error(f"--workdir {args.workdir!r} is not a directory: {exc.strerror}")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", default=None,
@@ -165,8 +184,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--out", required=True, help="ledger file to write")
     parser.add_argument("--claim", default=None,
                         help="the gain the change claims, as WORKLOAD:METRIC")
-    parser.add_argument("--workdir", default=None, help="where the two trees are extracted")
+    parser.add_argument("--workdir", default=None,
+                        help="where the two trees are extracted; made if missing")
     args = parser.parse_args(argv)
+    check_args(parser, args)
 
     parent_rev = args.parent or ("HEAD" if args.change == WORKTREE else "HEAD~1")
     parent, change = resolve(parent_rev), resolve(args.change)
@@ -196,7 +217,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{firsts} and second at the others; a ratio is the change median over the parent "
             "median, and a win is a seed where the change is better")
     if args.claim:
-        workload, metric = args.claim.split(":")
+        workload, _, metric = args.claim.partition(":")
         what += f"; this change claims a gain on {workload} {metric}"
     ledger = {
         "what": what,
