@@ -2,11 +2,15 @@
 synthetic trace generation and trace replay.
 
 All randomness flows through per-trial substreams derived from a single
-seed, so trials are reproducible independently of execution order.  The
-Monte-Carlo trials therefore run on every CPU in the process's affinity
-mask, in ``multiprocessing`` fork processes (``_map_trials`` says why not a
-pool), and the result does not depend on how many there are:
-``taskset -c 0`` runs them serially, with the same output.
+seed, so trials are reproducible independently of execution order: trial
+``i`` draws from numpy's PCG64 seeded by ``SeedSequence(entropy=seed,
+spawn_key=(i,))``.  The fd trials derive these states a block of indices at
+a time in one numpy pass (``_trial_states``) and re-seed one generator per
+process with them.  The Monte-Carlo trials therefore run on every CPU in
+the process's affinity mask, in ``multiprocessing`` fork processes
+(``_map_trials`` says why not a pool), and the result does not depend on
+how many there are: ``taskset -c 0`` runs them serially, with the same
+output.
 
 numpy is imported inside the functions that draw or summarise with it, not
 at module level: ``import accpair``, ``analytic`` and ``replay`` never use
@@ -18,6 +22,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple, TypeVar
 
 from .engine import ANALYSIS, DEPLOYMENT, PairingEngine
@@ -35,9 +40,9 @@ if TYPE_CHECKING:
 BODY_BITS = 232
 
 #: Fewest fd trials worth a forked worker.  Starting and joining one costs
-#: about 3 ms with numpy loaded, some 45 fd trials of 66 us, so 256 trials keep
-#: it to about 15% of a worker's time.  A memory trial replays a whole trace,
-#: some 13 ms at n = 20, so one of them is worth a worker.
+#: about 3 ms with numpy loaded, some 60 fd trials of 50 us at n = 400, so 256
+#: trials keep it to about a fifth of a worker's time.  A memory trial replays a
+#: whole trace, some 13 ms at n = 20, so one of them is worth a worker.
 MIN_TRIALS_PER_WORKER = 256
 
 #: Fewest bytes a generated trace row or a false-detection interferer holds
@@ -54,6 +59,15 @@ DRAW_BLOCK = 4096
 #: sized call costs about 5.3 us at k = 1 or 2, two thirds of it in the
 #: ``np.prod(size)`` it makes first, and a scalar one 1.5 us.
 SIZED_ACC_DRAW = 4
+
+#: Trial indices whose generator states ``_trial_states`` derives in one numpy
+#: pass; a divisor of 2**32, so a block's indices have the same number of words.
+TRIAL_BLOCK = 256
+
+#: numpy's ``SeedSequence`` hash constants (NEP 19) and PCG64's multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _MASK32, _MASK128 = 0xCA01F9DD, 0x4973F715, 2**32 - 1, 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 T = TypeVar("T")
 
@@ -98,10 +112,75 @@ class SimConfig:
         return float(-np.expm1(BODY_BITS * np.log1p(-self.epsilon)))
 
 
-def _trial_rng(seed: int, index: int) -> np.random.Generator:
+def _words(x: int) -> List[int]:
+    """numpy's 32-bit words of a nonnegative int, lowest first; ``[0]`` for 0."""
+    return [x >> shift & _MASK32 for shift in range(0, max(x.bit_length(), 1), 32)]
+
+
+@lru_cache(maxsize=1)
+def _trial_states(seed: int, block: int) -> List[Tuple[int, int]]:
+    """PCG64's ``(state, inc)`` seeded by ``SeedSequence(entropy=seed, spawn_key=(i,))``,
+    for the ``TRIAL_BLOCK`` indices ``i`` of ``block`` in order.
+
+    numpy's hash (``mix_entropy`` into a pool of 4 words, then ``generate_state(4,
+    uint64)``) runs with the seed's words as Python ints and each index's lowest
+    word as one uint32 array, which wraps as numpy's uint32 words do; then PCG64's
+    ``srandom`` in Python ints, mod 2**128.  A block starts at a multiple of
+    ``TRIAL_BLOCK``, so its indices share every word above the lowest.
+    """
     import numpy as np
 
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    lo = block * TRIAL_BLOCK
+    hash_const = _INIT_A
+
+    def hashmix(value, mult=_MULT_A):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * mult & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32) & _MASK32
+        return value ^ value >> 16
+
+    run = _words(seed)
+    low = np.arange(lo & _MASK32, (lo & _MASK32) + TRIAL_BLOCK, dtype=np.uint32)
+    entropy = run + [0] * (4 - len(run)) + [low] + _words(lo)[1:]
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = _INIT_B  # generate_state: 8 uint32 words, two per uint64, lowest first
+    out = [hashmix(pool[k % 4], _MULT_B).astype(np.uint64) for k in range(8)]
+    states = []  # PCG64's initstate and initseq are the first and last two uint64s
+    words64 = ((out[k] | out[k + 1] << 32).tolist() for k in range(0, 8, 2))
+    for s_hi, s_lo, q_hi, q_lo in zip(*words64):
+        inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK128
+        states.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def _trial_rng(seed: int, index: int,
+               rng: Optional[np.random.Generator] = None) -> np.random.Generator:
+    """numpy's PCG64 generator seeded by ``SeedSequence(entropy=seed, spawn_key=(index,))``:
+    ``rng`` re-seeded, or a new generator."""
+    if rng is None:
+        import numpy as np
+
+        rng = np.random.Generator(np.random.PCG64(0))
+    state, inc = _trial_states(seed, index // TRIAL_BLOCK)[index % TRIAL_BLOCK]
+    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+    return rng
+
+
+#: The one generator a process's fd trials re-seed, one trial after another.
+_process_rng = lru_cache(maxsize=1)(lambda: _trial_rng(0, 0))
 
 
 def _refuse_beyond_memory(n: int, per_meter: float, what: str, unit: str = "meter",
@@ -371,7 +450,8 @@ def _false_detection_trial(cfg: SimConfig, base_true_acc: int, rng: np.random.Ge
 
 
 def _fd_trial(cfg: SimConfig, i: int) -> bool:
-    return _false_detection_trial(cfg, i % cfg.params.L, _trial_rng(cfg.rng_seed, i))
+    return _false_detection_trial(cfg, i % cfg.params.L,
+                                  _trial_rng(cfg.rng_seed, i, _process_rng()))
 
 
 def simulate_false_detection(cfg: SimConfig) -> Tuple[float, float]:

@@ -310,6 +310,34 @@ def test_draws_digest_covers_both_acc_draws():
     assert counted.sized and counted.scalar, (counted.sized, counted.scalar)
 
 
+@pytest.mark.parametrize("seed", (0, 1, 401, 2**32 - 1, 2**32, 2**64 + 5, 2**200 + 3))
+def test_trial_states_are_numpys(seed):
+    # _trial_states' copy of numpy's SeedSequence hash and PCG64 seeding,
+    # against numpy itself: indices across block edges, and indices of two
+    # 32-bit words; seeds of one to seven words
+    for i in [*range(601), 2**32 - 1, 2**32, 2**40 + 3]:
+        reference = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        assert _trial_rng(seed, i).bit_generator.state == reference.bit_generator.state, i
+
+
+def test_reseeded_fd_trials_draw_what_fresh_generators_draw():
+    # _fd_trial re-seeds one generator per process; out of order, across
+    # blocks and alternating seeds, each trial's outcome and end state must
+    # be a fresh generator's, so nothing of one trial reaches the next
+    cfgs = FD_DIGEST_SETTINGS[1], FD_DIGEST_SETTINGS[3]
+    order = [(cfg, i) for i in (300, 5, 255, 256, 0, 511, 17, 1000, 4, 3) for cfg in cfgs]
+    buffered = 0
+    for k, (cfg, i) in enumerate(order):
+        outcome = _fd_trial(cfg, i)
+        end = simulate._process_rng().bit_generator.state
+        fresh = _trial_rng(cfg.rng_seed, i)
+        assert outcome == _false_detection_trial(cfg, i % cfg.params.L, fresh), (cfg, i)
+        assert end == fresh.bit_generator.state, (cfg, i)
+        buffered += k < len(order) - 1 and end["has_uint32"] == 1
+    # a half-used bounded-int word is left for the next trial, which must not read it
+    assert buffered
+
+
 #: trace settings whose rows the recorded digest pins: erasures, jitter, a
 #: fixed body-error probability, every ACC bit flipped, a 16-value counter,
 #: and single meters whose draws span several of generate_trace's blocks
