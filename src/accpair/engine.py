@@ -6,7 +6,8 @@ dropped) and returns the slots whose windows hold it; the arrival is
 matched against them using the total Hamming distance threshold.  Then new
 slots are created according to the configured policy.  The lookup also
 rejects an arrival out of time order.  One engine processes one trace
-serially; distinct engine instances are fully independent.
+serially, and ``reset`` readies it for another; distinct engine instances
+are fully independent.
 """
 
 from __future__ import annotations
@@ -91,6 +92,11 @@ class PairingEngine:
         self.M = check_threshold(M, self.params.L)
         self.policy = policy
         self.store = SlotStore(self.params, timeout=timeout)
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget every arrival, slot and pairing: the engine is as freshly built."""
+        self.store.clear()
         self.arrivals = 0
         self.pairs = [0] * (8 * self.store.timeout)
         self.unverified = 0

@@ -5,8 +5,10 @@ All randomness flows through per-trial substreams derived from a single
 seed, so trials are reproducible independently of execution order: trial
 ``i`` draws from numpy's PCG64 seeded by ``SeedSequence(entropy=seed,
 spawn_key=(i,))``.  The fd trials derive these states a block of indices at
-a time in one numpy pass (``_trial_states``) and re-seed one generator per
-process with them.  The Monte-Carlo trials therefore run on every CPU in
+a time in one numpy pass (``_trial_states``).  One generator and one pairing
+engine per process serve them (``_fd_context``): each trial re-seeds the
+generator and resets the engine, so it draws and decides as on new ones.
+The Monte-Carlo trials therefore run on every CPU in
 the process's affinity mask, in ``multiprocessing`` fork processes
 (``_map_trials`` says why not a pool), and the result does not depend on
 how many there are: ``taskset -c 0`` runs them serially, with the same
@@ -23,7 +25,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple, TypeVar
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
 
 from .engine import ANALYSIS, DEPLOYMENT, PairingEngine
 from .slots import PacketArrival
@@ -40,9 +42,10 @@ if TYPE_CHECKING:
 BODY_BITS = 232
 
 #: Fewest fd trials worth a forked worker.  Starting and joining one costs
-#: about 3 ms with numpy loaded, some 60 fd trials of 50 us at n = 400, so 256
-#: trials keep it to about a fifth of a worker's time.  A memory trial replays a
-#: whole trace, some 13 ms at n = 20, so one of them is worth a worker.
+#: about 3 ms with numpy loaded, some 75 fd trials of 35-42 us at n = 400 and
+#: M = 1 (2 shared cores), so 256 trials keep it under a quarter of a worker's
+#: time.  A memory trial replays a whole trace, some 13 ms at n = 20, so one of
+#: them is worth a worker.
 MIN_TRIALS_PER_WORKER = 256
 
 #: Fewest bytes a generated trace row or a false-detection interferer holds
@@ -168,19 +171,25 @@ def _trial_states(seed: int, block: int) -> List[Tuple[int, int]]:
 def _trial_rng(seed: int, index: int,
                rng: Optional[np.random.Generator] = None) -> np.random.Generator:
     """numpy's PCG64 generator seeded by ``SeedSequence(entropy=seed, spawn_key=(index,))``:
-    ``rng`` re-seeded, or a new generator."""
+    ``rng`` re-seeded from its block's ``_trial_states``, or a new generator that numpy
+    seeds, which spares a lone generator the hash of a whole block."""
     if rng is None:
         import numpy as np
 
-        rng = np.random.Generator(np.random.PCG64(0))
+        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
     state, inc = _trial_states(seed, index // TRIAL_BLOCK)[index % TRIAL_BLOCK]
     rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                                "has_uint32": 0, "uinteger": 0}
     return rng
 
 
-#: The one generator a process's fd trials re-seed, one trial after another.
-_process_rng = lru_cache(maxsize=1)(lambda: _trial_rng(0, 0))
+@lru_cache(maxsize=1)
+def _fd_context(params: ProtocolParams, M: int, timeout: int) -> Tuple[
+        np.random.Generator, PairingEngine, Dict[int, List[Tuple[float, float]]]]:
+    """What a process's fd trials at these settings share, one trial after another:
+    the generator each re-seeds, the engine each resets, and the step-1 windows of
+    each observed base ACC, which a base received at time 0 fixes."""
+    return _trial_rng(0, 0), PairingEngine(params, M=M, policy=ANALYSIS, timeout=timeout), {}
 
 
 def _refuse_beyond_memory(n: int, per_meter: float, what: str, unit: str = "meter",
@@ -392,6 +401,8 @@ def _false_detection_trial(cfg: SimConfig, base_true_acc: int, rng: np.random.Ge
     ACC bit errors.  ``ProtocolParams.max_timeout`` makes every step-j
     window of the base close before any step-(j+1) window opens, so the
     windows live at the start of pass j are exactly the step-j windows.
+    The trial resets and uses its process's engine (``_fd_context``), and
+    takes the step-1 windows of an observed base ACC met before from there.
 
     The draws from ``rng`` come in a fixed order, which a recorded digest
     of the generator state pins.  First the base's bit errors (when
@@ -407,15 +418,18 @@ def _false_detection_trial(cfg: SimConfig, base_true_acc: int, rng: np.random.Ge
     params = cfg.params
     lam = cfg.n / params.t
     jit = cfg.emission_jitter
-    engine = PairingEngine(params, M=cfg.M, policy=ANALYSIS, timeout=cfg.timeout)
+    _, engine, step1 = _fd_context(params, cfg.M, cfg.timeout)
+    engine.reset()  # before the base, so that a trial that raised leaves nothing behind
     y = base_true_acc ^ _flip_mask(rng, cfg.epsilon, params.L)
     engine.on_arrival(PacketArrival(time=0.0, acc=y, erroneous=True, meter_id="base"))
     base_jit = float(rng.uniform(-jit, jit)) if jit > 0 else 0.0
+    segments = step1.get(y)
+    if segments is None:
+        segments = step1[y] = engine.store.windows()
 
     step = 0
-    while engine.live_slots:
+    while segments:  # the live windows, merged
         step += 1
-        segments = engine.store.windows()
         counts = [rng.poisson(lam * (b - a)) for a, b in segments]
 
         events: List[Tuple[float, int, bool]] = []
@@ -446,12 +460,13 @@ def _false_detection_trial(cfg: SimConfig, base_true_acc: int, rng: np.random.Ge
         # no half-open window holds the latest window end, so this finds no
         # slot and only moves the base on to its next step
         engine.store.slots_containing(segments[-1][1])
+        segments = engine.store.windows()
     return False
 
 
 def _fd_trial(cfg: SimConfig, i: int) -> bool:
-    return _false_detection_trial(cfg, i % cfg.params.L,
-                                  _trial_rng(cfg.rng_seed, i, _process_rng()))
+    rng = _fd_context(cfg.params, cfg.M, cfg.timeout)[0]
+    return _false_detection_trial(cfg, i % cfg.params.L, _trial_rng(cfg.rng_seed, i, rng))
 
 
 def simulate_false_detection(cfg: SimConfig) -> Tuple[float, float]:

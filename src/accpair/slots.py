@@ -134,6 +134,10 @@ class SlotStore:
         self.params = params
         self.timeout = timeout
         self._row1 = window_row(params, 1)
+        self.clear()
+
+    def clear(self) -> None:
+        """Drop every slot and forget the time: the store is as freshly built."""
         # (envelope start, ref, record) sorted by start; a live ref is unique,
         # so no comparison ever reaches the record itself
         self._by_start: List[Tuple[float, int, _Base]] = []

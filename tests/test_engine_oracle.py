@@ -8,12 +8,13 @@ A candidate is live in step ``j`` when no earlier arrival fell in one of
 its windows of steps before ``j``.
 """
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from accpair.engine import ANALYSIS, DEPLOYMENT, PAIR_CLASSES, PairingEngine
 from accpair.simulate import SimConfig, generate_trace
-from accpair.slots import PacketArrival
+from accpair.slots import PacketArrival, TraceOrderError
 from accpair.timing import ProtocolParams, slot_bounds
 
 NEVER = float("inf")
@@ -93,16 +94,30 @@ def test_engine_matches_reference(n, epsilon, p, L, M, policy, timeout, body_err
     check_against_reference(generate_trace(cfg), params, M, policy, timeout)
 
 
+#: rows of arrivals within +-40 ms of multiples of t, so the windows of
+#: different bases and steps compete for the same arrival; a few meter ids,
+#: some missing, make true, false and unverified pairings
+CROWDED_ROWS = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(-40, 40), st.integers(0, 255), st.booleans(),
+              st.sampled_from([None, "a", "b"])),
+    max_size=20,
+)
+
+
+def crowded_trace(rows, L):
+    return sorted(
+        (PacketArrival(time=16.0 * k + ms / 1000, acc=acc % L, erroneous=err, meter_id=meter)
+         for k, ms, acc, err, meter in rows),
+        key=lambda pkt: pkt.time,
+    )
+
+
 @given(
     L=st.sampled_from([16, 256]),
     M=st.integers(0, 2),
     policy=st.sampled_from([ANALYSIS, DEPLOYMENT]),
     timeout=st.integers(1, 4),
-    rows=st.lists(
-        st.tuples(st.integers(0, 5), st.integers(-40, 40), st.integers(0, 255), st.booleans(),
-                  st.sampled_from([None, "a", "b"])),
-        max_size=20,
-    ),
+    rows=CROWDED_ROWS,
 )
 # a false EE pairing at step 1 and an unverified one at step 2, which
 # random rows make only now and then
@@ -111,16 +126,44 @@ def test_engine_matches_reference(n, epsilon, p, L, M, policy, timeout, body_err
 ])
 @settings(max_examples=60, deadline=None)
 def test_engine_matches_reference_on_crowded_windows(L, M, policy, timeout, rows):
-    # arrivals within +-40 ms of multiples of t, so the windows of
-    # different bases and steps compete for the same arrival; a few meter
-    # ids, some missing, make true, false and unverified pairings
     params = ProtocolParams(L=L)
-    trace = sorted(
-        (PacketArrival(time=16.0 * k + ms / 1000, acc=acc % L, erroneous=err, meter_id=meter)
-         for k, ms, acc, err, meter in rows),
-        key=lambda pkt: pkt.time,
-    )
-    check_against_reference(trace, params, M, policy, timeout)
+    check_against_reference(crowded_trace(rows, L), params, M, policy, timeout)
+
+
+def live_slots(engine):
+    return [slot for rec in engine.store._by_base.values() for slot in rec.slots]
+
+
+@given(
+    L=st.sampled_from([16, 256]),
+    M=st.integers(0, 2),
+    policy=st.sampled_from([ANALYSIS, DEPLOYMENT]),
+    timeout=st.integers(1, 4),
+    first=CROWDED_ROWS,
+    second=CROWDED_ROWS,
+    disorder=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_reset_engine_equals_new_one(L, M, policy, timeout, first, second, disorder):
+    # trace A, then reset, then trace B: every decision, the tally, the
+    # counters and the slots left live (their creation order too) are those
+    # of a new engine on B; with disorder, A ends in an arrival before its
+    # last one, which the engine refuses
+    params = ProtocolParams(L=L)
+    engine, fresh = (PairingEngine(params, M=M, policy=policy, timeout=timeout) for _ in "ab")
+    trace_a = crowded_trace(first, L)
+    for pkt in trace_a:
+        engine.on_arrival(pkt)
+    if disorder and trace_a:
+        with pytest.raises(TraceOrderError):
+            engine.on_arrival(PacketArrival(time=-1.0, acc=0, erroneous=True))
+    engine.reset()
+    for pkt in crowded_trace(second, L):
+        assert engine.on_arrival(pkt) == fresh.on_arrival(pkt)
+        assert live_slots(engine) == live_slots(fresh)
+    assert (engine.pairs, engine.unverified, engine.arrivals, engine.store.peak,
+            len(engine.store)) == (fresh.pairs, fresh.unverified, fresh.arrivals,
+                                   fresh.store.peak, len(fresh.store))
 
 
 def reference_tally(decisions, timeout):

@@ -313,29 +313,84 @@ def test_draws_digest_covers_both_acc_draws():
 @pytest.mark.parametrize("seed", (0, 1, 401, 2**32 - 1, 2**32, 2**64 + 5, 2**200 + 3))
 def test_trial_states_are_numpys(seed):
     # _trial_states' copy of numpy's SeedSequence hash and PCG64 seeding,
-    # against numpy itself: indices across block edges, and indices of two
-    # 32-bit words; seeds of one to seven words
+    # which re-seeds a generator, against numpy itself, which seeds a lone
+    # one: indices across block edges, and indices of two 32-bit words;
+    # seeds of one to seven words
+    rng = np.random.default_rng()
     for i in [*range(601), 2**32 - 1, 2**32, 2**40 + 3]:
         reference = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        assert _trial_rng(seed, i, rng).bit_generator.state == reference.bit_generator.state, i
         assert _trial_rng(seed, i).bit_generator.state == reference.bit_generator.state, i
 
 
 def test_reseeded_fd_trials_draw_what_fresh_generators_draw():
-    # _fd_trial re-seeds one generator per process; out of order, across
-    # blocks and alternating seeds, each trial's outcome and end state must
-    # be a fresh generator's, so nothing of one trial reaches the next
+    # _fd_trial re-seeds its process's one generator (the first item of
+    # _fd_context, which both settings share); out of order, across blocks
+    # and alternating seeds, each trial's outcome and end state must be a
+    # fresh generator's, so nothing of one trial reaches the next
     cfgs = FD_DIGEST_SETTINGS[1], FD_DIGEST_SETTINGS[3]
     order = [(cfg, i) for i in (300, 5, 255, 256, 0, 511, 17, 1000, 4, 3) for cfg in cfgs]
     buffered = 0
     for k, (cfg, i) in enumerate(order):
         outcome = _fd_trial(cfg, i)
-        end = simulate._process_rng().bit_generator.state
+        end = simulate._fd_context(cfg.params, cfg.M, cfg.timeout)[0].bit_generator.state
         fresh = _trial_rng(cfg.rng_seed, i)
         assert outcome == _false_detection_trial(cfg, i % cfg.params.L, fresh), (cfg, i)
         assert end == fresh.bit_generator.state, (cfg, i)
         buffered += k < len(order) - 1 and end["has_uint32"] == 1
     # a half-used bounded-int word is left for the next trial, which must not read it
     assert buffered
+
+
+#: two settings with different shared contexts: M=1 at t=16, and M=2 at t=8,
+#: where neighbouring windows overlap and merge, with bit errors and erasures,
+#: so that trials reach steps past 1 and flip the base ACC
+SHARED_SETTINGS = (
+    SimConfig(n=2000, M=1, rng_seed=8),
+    SimConfig(params=ProtocolParams(t=8.0), n=400, M=2, epsilon=1 / 16, p=0.3, rng_seed=9),
+)
+
+
+def test_shared_fd_context_decides_as_new_engines():
+    # each trial on a newly built engine and generator, then the same trials
+    # out of order on the shared ones, in runs of three that switch settings
+    # (and so rebuild the context); base ACCs repeat, so the step-1 windows
+    # come from the memo
+    indices = [acc + 256 * k for acc in (0, 5, 17, 128, 200, 255) for k in range(4)]
+    np.random.default_rng(33).shuffle(indices)
+    order = [(SHARED_SETTINGS[k // 3 % 2], i) for k, i in enumerate(indices + indices[::-1])]
+    expected = {}
+    for cfg, i in order:
+        simulate._fd_context.cache_clear()
+        rng = _trial_rng(cfg.rng_seed, i)
+        outcome = _false_detection_trial(cfg, i % cfg.params.L, rng)
+        expected[cfg.rng_seed, i] = outcome, rng.bit_generator.state
+    assert {outcome for outcome, _ in expected.values()} == {False, True}
+    simulate._fd_context.cache_clear()
+    for cfg, i in order:
+        outcome = _fd_trial(cfg, i)
+        end = simulate._fd_context(cfg.params, cfg.M, cfg.timeout)[0].bit_generator.state
+        assert (outcome, end) == expected[cfg.rng_seed, i], (cfg.rng_seed, i)
+
+
+@pytest.mark.parametrize("t", (16.0, 8.0))
+def test_memo_holds_each_base_accs_step1_windows(t):
+    # the memo's segments against a new engine's merged windows, for every
+    # ACC at M 0..3; at t=8 some of them merge
+    params, merged = ProtocolParams(t=t), False
+    for M in range(4):
+        simulate._fd_context.cache_clear()
+        cfg = SimConfig(params=params, n=0, M=M)
+        for acc in range(params.L):
+            _false_detection_trial(cfg, acc, _trial_rng(0, acc))
+        memo = simulate._fd_context(params, M, cfg.timeout)[2]
+        assert sorted(memo) == list(range(params.L))
+        for acc, segments in memo.items():
+            engine = PairingEngine(params, M=M)
+            engine.on_arrival(PacketArrival(time=0.0, acc=acc, erroneous=True, meter_id="base"))
+            assert segments == engine.store.windows(), (M, acc)
+            merged |= len(segments) < engine.live_slots
+    assert merged or t != 8.0
 
 
 #: trace settings whose rows the recorded digest pins: erasures, jitter, a
